@@ -18,7 +18,8 @@ from .shape import (CalibrationModel, CmGeometry, ShapeEstimate,
                     default_calibration, fit_calibration, load_calibration,
                     reconstruct, tips_for_curvatures, wavelength_to_curvature)
 from .spectral import (SpectralFeatures, SpectralPeak, Spectrum, dft,
-                       find_peaks, identify_features, magnitude_spectrum)
+                       features_from_spectrum, find_peaks, identify_features,
+                       magnitude_spectrum)
 from .sweep import (ResonanceReport, analyze_sweep_points, default_rpm_grid,
                     ingest_sweep_dir, run_sweep, steady_amplitude)
 from .vib_model import (BendProfile, Scenario, TwoDofParams, WavelengthTrace,

@@ -129,10 +129,11 @@ def _cmd_analyze(args):
     config = _load_config(args)
     trace = _single_fiber(args.trace, args.fiber)
     channel = trace.channel(args.aa)
-    features = spectral.identify_features(
-        channel, trace.sample_rate_hz,
+    freqs, mags = spectral.magnitude_spectrum(
+        channel - channel.mean(), trace.sample_rate_hz, window=args.window)
+    features = spectral.features_from_spectrum(
+        freqs, mags,
         rpm_hint=args.rpm_hint,
-        window=args.window,
         shape_cutoff_hz=_pick(None, config, "shape_cutoff_hz",
                               spectral.DEFAULT_SHAPE_CUTOFF_HZ),
         min_prominence=_pick(args.prominence, config, "min_prominence_nm",
@@ -140,8 +141,6 @@ def _cmd_analyze(args):
         max_freq_hz=_pick(args.max_freq, config, "max_freq_hz",
                           spectral.DEFAULT_MAX_FREQ_HZ))
     if args.out:
-        freqs, mags = spectral.magnitude_spectrum(
-            channel - channel.mean(), trace.sample_rate_hz, window=args.window)
         dataio.atomic_write_text(args.out, spectral.spectrum_rows(freqs, mags))
 
     def fmt(value):
@@ -179,8 +178,8 @@ def _cmd_filter(args):
         filtered.append(vib_model.WavelengthTrace(
             sample_rate_hz=trace.sample_rate_hz, channels=channels,
             t0=trace.t0, labels=trace.labels))
-        if args.save_spec:
-            filtering.save_filter_spec(args.save_spec, spec)
+    if args.save_spec:
+        filtering.save_filter_spec(args.save_spec, spec)
     dataio.write_trace_csv(args.out, filtered)
     print(f"filtered {len(filtered)} fiber(s) at {fundamental:g} Hz "
           f"and multiples > {args.out}")
@@ -210,10 +209,8 @@ def _cmd_shape(args):
         sens = np.array(calibration.sensitivities_nm_per_invm)
         kappas = (trace.channels - base) / sens
         tips = shape.tips_for_curvatures(kappas, geometry)
-        lines = ["time_s,tip_x_mm,tip_z_mm"]
-        for t, (x, z) in zip(trace.times(), tips):
-            lines.append(f"{t:.6f},{x:.9f},{z:.9f}")
-        dataio.atomic_write_text(args.out_tips, "\n".join(lines) + "\n")
+        dataio.atomic_write_text(args.out_tips,
+                                 dataio.tips_csv_text(trace.times(), tips))
     tip = estimate.tip_mm
     print(f"tip_x_mm={tip[0]:.6f} tip_z_mm={tip[1]:.6f}")
     return 0

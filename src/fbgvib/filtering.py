@@ -9,11 +9,12 @@ zero net phase: shape changes and collision transients keep their timing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import sosfilt, sosfilt_zi
 
+from .dataio import atomic_write_text
 from .errors import DataError, ParameterError
 
 #: Cascade response required at every declared notch center.
@@ -163,6 +164,10 @@ def apply_zero_phase(spec, x):
     effective magnitude response is the square of the cascade's and the net
     phase is zero.
     """
+    # Deferred: scipy.signal takes about a second to import, and the CLI
+    # stages other than filter and sweep never get here.
+    from scipy.signal import sosfilt, sosfilt_zi
+
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")
@@ -194,8 +199,7 @@ def save_filter_spec(path, spec):
     lines = []
     for s in spec.sections:
         lines.append(" ".join(f"{v:.17e}" for v in (s.b0, s.b1, s.b2, s.a1, s.a2)))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def load_filter_spec(path, sample_rate_hz):
@@ -213,7 +217,12 @@ def load_filter_spec(path, sample_rate_hz):
             parts = line.split()
             if len(parts) != 5:
                 raise DataError(f"line {lineno}: expected 5 coefficients, got {len(parts)}")
-            vals = [float(p) for p in parts]
+            try:
+                vals = [float(p) for p in parts]
+            except ValueError:
+                raise DataError(f"line {lineno}: non-numeric coefficient in {line!r}") from None
+            if not all(math.isfinite(v) for v in vals):
+                raise DataError(f"line {lineno}: coefficients must be finite")
             sections.append(BiquadSection(*vals))
     if not sections:
         raise DataError("coefficient file holds no sections")

@@ -10,10 +10,12 @@ shape content from the tool-locked line and its integer multiples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dataio import csv_text
 from .errors import DataError, ParameterError
 
 WINDOWS = ("rectangular", "hann")
@@ -222,20 +224,39 @@ def identify_features(x, sample_rate_hz, rpm_hint=None, window="hann",
     """Extract base frequency, fundamental, and harmonics from one channel.
 
     The channel mean is removed before the transform so the large static
-    wavelength does not leak into the shape band. The base frequency is the
-    strongest peak at or below shape_cutoff_hz; the fundamental is the
-    strongest peak above it, snapped to rpm_hint / 60 when within two bins.
-    An absent fundamental signals vibration-free data.
+    wavelength does not leak into the shape band; the spectrum then goes
+    to features_from_spectrum.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("channel must be a non-empty 1-D array")
-    resolution = float(sample_rate_hz) / x.shape[0]
+    freqs, mags = magnitude_spectrum(x - x.mean(), sample_rate_hz, window=window)
+    return features_from_spectrum(freqs, mags, rpm_hint=rpm_hint,
+                                  shape_cutoff_hz=shape_cutoff_hz,
+                                  min_prominence=min_prominence,
+                                  max_freq_hz=max_freq_hz,
+                                  max_harmonic=max_harmonic)
+
+
+def features_from_spectrum(freqs, mags, rpm_hint=None,
+                           shape_cutoff_hz=DEFAULT_SHAPE_CUTOFF_HZ,
+                           min_prominence=DEFAULT_MIN_PROMINENCE_NM,
+                           max_freq_hz=DEFAULT_MAX_FREQ_HZ,
+                           max_harmonic=5):
+    """Features from a magnitude_spectrum of a mean-removed channel.
+
+    The base frequency is the strongest peak at or below shape_cutoff_hz;
+    the fundamental is the strongest peak above it, snapped to
+    rpm_hint / 60 when within two bins. An absent fundamental signals
+    vibration-free data. The bin spacing must be 0.5 Hz or finer.
+    """
+    freqs = np.asarray(freqs, dtype=float)
+    # Bin 1 sits at sample_rate_hz / n; a one-sample record has no spacing.
+    resolution = float(freqs[1]) if freqs.shape[0] > 1 else math.inf
     if resolution > 0.5:
         raise DataError(
             f"frequency resolution {resolution:.3f} Hz is coarser than 0.5 Hz; "
             "supply at least 2 s of data")
-    freqs, mags = magnitude_spectrum(x - x.mean(), sample_rate_hz, window=window)
     peaks = find_peaks(freqs, mags, min_prominence=min_prominence,
                        max_freq_hz=max_freq_hz)
 
@@ -270,7 +291,4 @@ def identify_features(x, sample_rate_hz, rpm_hint=None, window="hann",
 
 def spectrum_rows(freqs, mags):
     """Rows for the two-column spectrum CSV (frequency_hz, magnitude_nm)."""
-    lines = ["frequency_hz,magnitude_nm"]
-    for f, m in zip(freqs, mags):
-        lines.append(f"{f:.9f},{m:.9g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("frequency_hz,magnitude_nm", "{:.9f},{:.9g}\n", (freqs, mags))

@@ -2,12 +2,19 @@
 
 These deliberately avoid the library's own code paths: the transform
 oracle evaluates the defining sum directly, the shape oracle integrates
-the planar Frenet system with fixed-step RK4, and the vibration oracle
-time-steps the equations of motion to steady state.
+the planar Frenet system with fixed-step RK4, the vibration oracle
+time-steps the equations of motion to steady state, and the trace-file
+oracle walks the CSV one line at a time.
 """
+
+import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from fbgvib import ParseError, WavelengthTrace
+from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
+from fbgvib.shape import BAND_NM
 
 
 def naive_dft(x):
@@ -83,3 +90,78 @@ def sine_amplitude(x, sample_rate_hz, frequency_hz):
                               np.ones_like(t)))
     coef, *_ = np.linalg.lstsq(design, np.asarray(x, dtype=float), rcond=None)
     return float(np.hypot(coef[0], coef[1]))
+
+
+def line_walk_parse_trace_csv(path):
+    """Trace CSV parsed row by row: the reference for dataio.parse_trace_csv.
+
+    Same schema, messages and line numbers as the library, including the
+    rejection of non-finite times.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    if lines[0].strip() != TRACE_HEADER:
+        raise ParseError(f"expected header {TRACE_HEADER!r}", line=1)
+
+    series = {}  # (fiber, aa) -> (times, wavelengths)
+    last_time = None
+    for lineno, raw in enumerate(lines[1:], start=2):
+        if not raw.strip():
+            continue
+        parts = raw.split(",")
+        if len(parts) != 4:
+            raise ParseError("expected 4 comma-separated fields", line=lineno)
+        try:
+            t = float(parts[0])
+            fiber = int(parts[1])
+            aa = int(parts[2])
+            wl = float(parts[3])
+        except ValueError:
+            raise ParseError(f"malformed row {raw!r}", line=lineno) from None
+        if fiber not in (0, 1):
+            raise ParseError(f"fiber must be 0 or 1, got {fiber}", line=lineno)
+        if aa not in (0, 1, 2):
+            raise ParseError(f"aa must be 0, 1, or 2, got {aa}", line=lineno)
+        if not (BAND_NM[0] <= wl <= BAND_NM[1]):
+            raise ParseError(
+                f"wavelength {wl} nm outside the band {BAND_NM}", line=lineno)
+        if not math.isfinite(t):
+            raise ParseError(f"time must be finite, got {t}", line=lineno)
+        if last_time is not None and t < last_time:
+            raise ParseError("time must be non-decreasing", line=lineno)
+        last_time = t
+        series.setdefault((fiber, aa), ([], []))
+        series[(fiber, aa)][0].append(t)
+        series[(fiber, aa)][1].append(wl)
+    if not series:
+        raise ParseError("file holds no samples", line=2)
+
+    traces = []
+    for fiber in sorted({f for f, _ in series}):
+        aas = sorted(a for f, a in series if f == fiber)
+        times0 = np.array(series[(fiber, aas[0])][0])
+        n = times0.shape[0]
+        for aa in aas:
+            t_aa, _ = series[(fiber, aa)]
+            if len(t_aa) != n or not np.array_equal(np.array(t_aa), times0):
+                raise ParseError(
+                    f"fiber {fiber} area {aa} does not share the sample instants "
+                    "of the other areas")
+        if n > 1:
+            deltas = np.diff(times0)
+            dt = float(np.median(deltas))
+            if dt <= 0:
+                raise ParseError(f"fiber {fiber} repeats sample instants")
+            if np.any(np.abs(deltas - dt) > RATE_TOLERANCE * dt):
+                raise ParseError(
+                    f"fiber {fiber} sample spacing varies by more than 1 ppm")
+            rate = 1.0 / dt
+        else:
+            rate = FALLBACK_SAMPLE_RATE_HZ
+        channels = np.column_stack([series[(fiber, aa)][1] for aa in aas])
+        traces.append(WavelengthTrace(sample_rate_hz=rate, channels=channels,
+                                      t0=float(times0[0]),
+                                      labels=tuple((fiber, aa) for aa in aas)))
+    return traces

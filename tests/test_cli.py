@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from fbgvib import WavelengthTrace, filtering, spectral
 from fbgvib.cli import main
-from fbgvib.dataio import parse_trace_csv
+from fbgvib.dataio import parse_trace_csv, write_trace_csv
 
 
 def run(capsys, *argv):
@@ -153,3 +159,65 @@ def test_failed_run_leaves_no_partial_output(tmp_path, capsys):
     assert status == 2
     assert not target.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_times_are_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    trace.write_text("time_s,fiber,aa,wavelength_nm\n"
+                     + "".join(f"inf,0,{aa},1535.3\n" for aa in range(3)))
+    status, _, err = run(capsys, "detect", str(trace), "--out",
+                         str(tmp_path / "e.csv"))
+    assert status == 2
+    assert err.strip() == "error: line 2: time must be finite, got inf"
+
+
+def test_cli_import_defers_scipy_signal():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, fbgvib.cli; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "False"
+
+
+def test_analyze_transforms_channel_once(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "240", "--duration", "5", "--out", str(trace))
+    calls = []
+    original = spectral.fft_forward
+
+    def counting_fft(x):
+        calls.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(spectral, "fft_forward", counting_fft)
+    status, out, _ = run(capsys, "analyze", str(trace), "--rpm-hint", "240",
+                         "--out", str(tmp_path / "spectrum.csv"))
+    assert status == 0 and "fundamental_hz=4.000000" in out
+    assert calls == [5000]
+
+
+def test_filter_writes_spec_file_once(tmp_path, capsys, monkeypatch):
+    t = np.arange(2000) / 1000.0
+    wl = 1535.3 + 0.1 * np.sin(2 * np.pi * 2.0 * t)
+    channels = np.column_stack([wl, wl, wl])
+    trace = tmp_path / "two_fibers.csv"
+    write_trace_csv(trace, [
+        WavelengthTrace(1000.0, channels, labels=((0, 0), (0, 1), (0, 2))),
+        WavelengthTrace(1000.0, channels, labels=((1, 0), (1, 1), (1, 2)))])
+    saved = []
+    original = filtering.save_filter_spec
+
+    def recording_save(path, spec):
+        saved.append(path)
+        original(path, spec)
+
+    monkeypatch.setattr(filtering, "save_filter_spec", recording_save)
+    specfile = tmp_path / "cascade.txt"
+    status, out, _ = run(capsys, "filter", str(trace), "--rpm", "120",
+                         "--save-spec", str(specfile), "--out",
+                         str(tmp_path / "f.csv"))
+    assert status == 0 and "filtered 2 fiber(s)" in out
+    assert saved == [str(specfile)]
+    assert len(specfile.read_text().splitlines()) == 3

@@ -71,6 +71,26 @@ def test_decreasing_time_rejected(tmp_path):
         parse_trace_csv(path)
 
 
+@pytest.mark.parametrize("time", ["inf", "nan", "-inf"])
+def test_non_finite_time_rejected(tmp_path, time):
+    path = tmp_path / "t.csv"
+    path.write_text("time_s,fiber,aa,wavelength_nm\n"
+                    + "".join(f"{time},0,{aa},1535.3\n" for aa in range(3)))
+    with pytest.raises(ParseError, match="line 2: time must be finite"):
+        parse_trace_csv(path)
+
+
+def test_whitespace_only_lines_are_skipped(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("time_s,fiber,aa,wavelength_nm\n"
+                    "0.000000,0,0,1535.3\n"
+                    "   \n"
+                    "0.001000,0,0,1535.4\n")
+    trace, = parse_trace_csv(path)
+    assert trace.sample_rate_hz == pytest.approx(1000.0)
+    assert trace.channel(0).tolist() == [1535.3, 1535.4]
+
+
 def test_bad_fiber_and_aa_rejected(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("time_s,fiber,aa,wavelength_nm\n0.0,7,0,1535.3\n")

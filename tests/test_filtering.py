@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -173,4 +175,27 @@ def test_malformed_coefficient_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("1.0 0.0 0.0\n")
     with pytest.raises(DataError):
+        load_filter_spec(path, FS)
+
+
+def test_coefficient_file_written_atomically(tmp_path, monkeypatch):
+    path = tmp_path / "cascade.txt"
+    path.write_text("previous\n")
+
+    def failing_replace(src, dst):
+        raise OSError("rename failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="rename failed"):
+        save_filter_spec(path, design_bandstop(2.0, 3, sample_rate_hz=FS))
+    monkeypatch.undo()
+    assert path.read_text() == "previous\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["cascade.txt"]
+
+
+@pytest.mark.parametrize("bad", ["x", "nan", "inf"])
+def test_bad_coefficient_names_line(tmp_path, bad):
+    path = tmp_path / "bad.txt"
+    path.write_text(f"1.0 0.0 0.0 0.0 0.0\n1.0 0.0 {bad} 0.0 0.0\n")
+    with pytest.raises(DataError, match="line 2"):
         load_filter_spec(path, FS)

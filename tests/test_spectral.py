@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from fbgvib import (DataError, ParameterError, Scenario, default_params, dft,
-                    find_peaks, identify_features, magnitude_spectrum,
-                    simulate)
+                    features_from_spectrum, find_peaks, identify_features,
+                    magnitude_spectrum, simulate)
 from fbgvib.spectral import spectrum_rows
 
 from oracles import naive_dft
@@ -176,6 +176,17 @@ def test_constructed_harmonics():
     feats = identify_features(x, fs, min_prominence=0.05)
     assert feats.fundamental_hz == pytest.approx(3.0, abs=fs / 30000)
     assert [round(h) for h in feats.harmonics_hz] == [6, 9]
+
+
+def test_features_from_spectrum_matches_identify_features():
+    fs = 1000.0
+    t = np.arange(10000) / fs
+    x = 1535.3 + 0.3 * np.sin(2 * np.pi * 2.04 * t) + 0.1 * np.sin(2 * np.pi * 4.0 * t)
+    freqs, mags = magnitude_spectrum(x - x.mean(), fs, window="hann")
+    expected = identify_features(x, fs, rpm_hint=120.0, min_prominence=0.05)
+    assert features_from_spectrum(freqs, mags, rpm_hint=120.0,
+                                  min_prominence=0.05) == expected
+    assert expected.harmonics_hz
 
 
 def test_fundamental_snaps_to_rpm_hint():
