@@ -61,15 +61,20 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
     accumulator reaches threshold_nm. The reported magnitude is the block
     mean change across the excursion, so it never falls below the
     threshold. The baseline restarts after each event. Steps of at least
-    twice the threshold are caught within one window.
+    twice the threshold are caught within one window. A non-finite sample
+    raises DataError.
     """
     if not (threshold_nm > drift_nm > 0):
         raise ParameterError("configuration must satisfy threshold_nm > drift_nm > 0")
-    if window_s <= 0 or sample_rate_hz <= 0:
-        raise ParameterError("window_s and sample_rate_hz must be positive")
+    if not all(np.isfinite(v) and v > 0 for v in (window_s, sample_rate_hz)):
+        raise ParameterError("window_s and sample_rate_hz must be finite and positive")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        # A NaN would reset both accumulators and hide a step.
+        raise DataError(f"channel sample {bad[0]} is not finite ({x[bad[0]]})")
     window = max(int(round(window_s * sample_rate_hz)), BLOCKS_PER_WINDOW)
     block = max(window // BLOCKS_PER_WINDOW, 1)
     n_blocks = x.shape[0] // block

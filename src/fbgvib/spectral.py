@@ -1,11 +1,11 @@
 """Discrete Fourier analysis of wavelength traces.
 
-The transform core is self-contained: an iterative radix-2 algorithm for
-power-of-two lengths and Bluestein's chirp-z algorithm for every other
-length, so records of arbitrary duration transform in O(N log N) without
-truncation. Magnitude spectra are scaled to physical amplitude (a unit
-sinusoid on a bin reports 1.0), and feature extraction separates the slow
-shape content from the tool-locked line and its integer multiples.
+Transforms are numpy's FFT, which handles every length in O(N log N), so
+records of arbitrary duration transform without truncation. Magnitude
+spectra are scaled to physical amplitude (a unit sinusoid on a bin
+reports 1.0). Peaks are strict local maxima ranked by a prominence that
+the sweep module shares, and feature extraction separates the slow shape
+content from the tool-locked line and its integer multiples.
 """
 
 from __future__ import annotations
@@ -28,60 +28,15 @@ DEFAULT_MAX_FREQ_HZ = 40.0
 DEFAULT_MIN_PROMINENCE_NM = 0.01
 
 
-def _fft_pow2(x):
-    """Iterative radix-2 decimation-in-time transform. len(x) must be 2**m."""
-    n = x.shape[0]
-    if n == 1:
-        return x.astype(np.complex128)
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for b in range(bits):
-        rev |= ((idx >> b) & 1) << (bits - 1 - b)
-    a = x[rev].astype(np.complex128)
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw = np.exp((-2j * np.pi / size) * np.arange(half))
-        a = a.reshape(-1, size)
-        even = a[:, :half]
-        odd = a[:, half:] * tw
-        a = np.concatenate((even + odd, even - odd), axis=1).ravel()
-        size *= 2
-    return a
-
-
-def _ifft_pow2(x):
-    return np.conj(_fft_pow2(np.conj(x))) / x.shape[0]
-
-
-def _fft_bluestein(x):
-    """Chirp-z transform of arbitrary length via a power-of-two convolution."""
-    n = x.shape[0]
-    ks = np.arange(n, dtype=np.int64)
-    # k^2 mod 2n keeps the chirp phase exact for large n.
-    expo = (ks * ks) % (2 * n)
-    chirp = np.exp((-1j * np.pi / n) * expo)
-    a = x * chirp
-    m = 1 << (2 * n - 1).bit_length()
-    b = np.zeros(m, dtype=np.complex128)
-    b[:n] = np.conj(chirp)
-    b[m - n + 1:] = np.conj(chirp[1:])[::-1]
-    fa = _fft_pow2(np.concatenate((a, np.zeros(m - n, dtype=np.complex128))))
-    fb = _fft_pow2(b)
-    conv = _ifft_pow2(fa * fb)[:n]
-    return conv * chirp
-
-
 def fft_forward(x):
-    """Forward transform of a real or complex sequence, any length N >= 1."""
+    """Forward transform of a real or complex sequence, any length N >= 1.
+
+    Computed in double precision whatever the input's dtype.
+    """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("transform input must be a non-empty 1-D array")
-    n = x.shape[0]
-    if n & (n - 1) == 0:
-        return _fft_pow2(x)
-    return _fft_bluestein(x)
+    return np.fft.fft(x.astype(np.promote_types(x.dtype, np.float64), copy=False))
 
 
 @dataclass(frozen=True)
@@ -99,8 +54,8 @@ class Spectrum:
     def __post_init__(self):
         if self.n < 1 or self.bins.shape != (self.n,):
             raise DataError("bin count must match the transform length")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ParameterError("sample_rate_hz must be finite and positive")
         if self.window not in WINDOWS:
             raise ParameterError(f"unknown window {self.window!r}")
 
@@ -166,37 +121,70 @@ class SpectralPeak:
     prominence: float
 
 
+def peak_prominences(values):
+    """Indices of the strict local maxima of a 1-D array, with prominences.
+
+    A maximum's span reaches, on each side, the nearest strictly higher
+    sample or the array edge, past any samples of equal height; its
+    prominence is its height minus the lowest sample in that span, which
+    is the lower of the two valley minima. Ranges are queried in sparse
+    tables of block maxima and minima, and every peak's span is found at
+    once by binary lifting.
+
+    Returns
+    -------
+    (indices, prominences) : an ascending integer array and a float array.
+    """
+    a = np.asarray(values, dtype=float)
+    n = a.shape[0]
+    inner = a[1:-1]
+    peaks = np.flatnonzero((inner > a[:-2]) & (inner > a[2:])) + 1
+    if peaks.size == 0:
+        return peaks, np.empty(0)
+    # Level k holds the max (min) of a[j:j + 2**k] at index j.
+    highs, lows = [a], [a]
+    while 2 * highs[-1].shape[0] > n + 1:
+        h = n + 1 - highs[-1].shape[0]
+        highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
+        lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
+    height = a[peaks]
+    # Widen [left, right) by halving blocks while no sample exceeds the peak.
+    left, right = peaks, peaks + 1
+    for k in range(len(highs) - 1, -1, -1):
+        size = 1 << k
+        start = left - size
+        ok = (start >= 0) & (highs[k][np.maximum(start, 0)] <= height)
+        left = np.where(ok, start, left)
+        last = highs[k].shape[0] - 1
+        ok = (right <= last) & (highs[k][np.minimum(right, last)] <= height)
+        right = np.where(ok, right + size, right)
+    # The span [left, right) is the peak and its two valleys.
+    level = np.frexp(right - left)[1] - 1  # floor(log2(span length))
+    valley = np.empty(peaks.size)
+    for k in np.unique(level):
+        m = level == k
+        valley[m] = np.minimum(lows[k][left[m]], lows[k][right[m] - (1 << k)])
+    return peaks, height - valley
+
+
 def find_peaks(freqs, mags, min_prominence=DEFAULT_MIN_PROMINENCE_NM,
                max_freq_hz=DEFAULT_MAX_FREQ_HZ):
     """Local maxima of a magnitude spectrum, strongest first.
 
-    Prominence is measured against the lower of the two adjacent valley
-    minima (the spans until the next higher sample on each side). Peaks
-    above max_freq_hz are dropped; an empty list is a valid result.
+    Prominence is measured as in peak_prominences. Peaks above max_freq_hz
+    are dropped; an empty list is a valid result.
     """
     if min_prominence <= 0:
         raise ParameterError("min_prominence must be positive")
     freqs = np.asarray(freqs, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    peaks = []
-    for i in range(1, mags.shape[0] - 1):
-        if not (mags[i] > mags[i - 1] and mags[i] > mags[i + 1]):
-            continue
-        if freqs[i] > max_freq_hz:
-            continue
-        j = i - 1
-        while j > 0 and mags[j] <= mags[i]:
-            j -= 1
-        left_valley = mags[j:i].min()
-        j = i + 1
-        while j < mags.shape[0] - 1 and mags[j] <= mags[i]:
-            j += 1
-        right_valley = mags[i + 1: j + 1].min()
-        prom = mags[i] - min(left_valley, right_valley)
-        if prom >= min_prominence:
-            peaks.append(SpectralPeak(float(freqs[i]), float(mags[i]), float(prom)))
-    peaks.sort(key=lambda p: p.amplitude, reverse=True)
-    return peaks
+    idx, prom = peak_prominences(mags)
+    keep = ~(freqs[idx] > max_freq_hz) & (prom >= min_prominence)
+    idx, prom = idx[keep], prom[keep]
+    order = np.argsort(-mags[idx], kind="stable")
+    return [SpectralPeak(f, a, p) for f, a, p in
+            zip(freqs[idx[order]].tolist(), mags[idx[order]].tolist(),
+                prom[order].tolist())]
 
 
 @dataclass(frozen=True)

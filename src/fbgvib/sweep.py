@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import DataError, ParameterError
 from .filtering import apply_zero_phase, design_lowpass, transient_samples
+from .spectral import peak_prominences
 from .vib_model import frf_amplitude, simulate
 
 DEFAULT_DISCARD_FRACTION = 0.2
@@ -118,21 +119,9 @@ def analyze_sweep_points(points, params):
     amps = np.array([a for _, a in points], dtype=float)
     if rpms.size < 3:
         raise DataError("at least three sweep points are required")
-    floor = PEAK_PROMINENCE_RATIO * amps.max()
+    idx, prom = peak_prominences(amps)
     peak_rpms, freqs, bands, tags = [], [], [], []
-    for i in range(1, rpms.size - 1):
-        if not (amps[i] > amps[i - 1] and amps[i] > amps[i + 1]):
-            continue
-        j = i - 1
-        while j > 0 and amps[j] <= amps[i]:
-            j -= 1
-        left = amps[j:i].min()
-        j = i + 1
-        while j < rpms.size - 1 and amps[j] <= amps[i]:
-            j += 1
-        right = amps[i + 1:j + 1].min()
-        if amps[i] - min(left, right) < floor:
-            continue
+    for i in idx[prom >= PEAK_PROMINENCE_RATIO * amps.max()]:
         rpm_peak = _refine_peak(rpms, amps, i)
         level = AVOID_BAND_RATIO * amps[i]
         lo = _band_edge(rpms, amps, i, level, -1)

@@ -259,12 +259,12 @@ class Scenario:
     def __post_init__(self):
         if not (0.0 <= self.rpm <= RPM_MAX):
             raise ParameterError(f"rpm must lie in [0, {RPM_MAX}]")
-        if self.duration_s <= 0:
-            raise ParameterError("duration_s must be positive")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
-        if self.noise_sigma_nm < 0:
-            raise ParameterError("noise_sigma_nm must be non-negative")
+        if not (np.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ParameterError("duration_s must be finite and positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ParameterError("sample_rate_hz must be finite and positive")
+        if not (np.isfinite(self.noise_sigma_nm) and self.noise_sigma_nm >= 0):
+            raise ParameterError("noise_sigma_nm must be finite and non-negative")
         base = self.base_wavelength_nm
         if np.isscalar(base):
             base = (float(base),) * 3
@@ -309,8 +309,8 @@ class WavelengthTrace:
             raise DataError("channels must be a 2-D array with at least one sample")
         if len(self.labels) != ch.shape[1]:
             raise DataError("one (fiber, aa) label per channel is required")
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ParameterError("sample_rate_hz must be finite and positive")
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "labels", tuple((int(f), int(a)) for f, a in self.labels))
 

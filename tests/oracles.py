@@ -1,10 +1,11 @@
 """Independent reference computations used only by the tests.
 
 These deliberately avoid the library's own code paths: the transform
-oracle evaluates the defining sum directly, the shape oracle integrates
-the planar Frenet system with fixed-step RK4, the vibration oracle
-time-steps the equations of motion to steady state, and the trace-file
-oracle walks the CSV one line at a time.
+oracle evaluates the defining sum directly, the peak oracles walk to each
+maximum's valleys one sample at a time, the shape oracle integrates the
+planar Frenet system with fixed-step RK4, the vibration oracle time-steps
+the equations of motion to steady state, and the trace-file oracle walks
+the CSV one line at a time.
 """
 
 import math
@@ -12,9 +13,11 @@ import math
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from fbgvib import ParseError, WavelengthTrace
+from fbgvib import ParameterError, ParseError, WavelengthTrace
 from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
 from fbgvib.shape import BAND_NM
+from fbgvib.spectral import SpectralPeak
+from fbgvib.sweep import PEAK_PROMINENCE_RATIO
 
 
 def naive_dft(x):
@@ -23,6 +26,60 @@ def naive_dft(x):
     n = x.shape[0]
     k = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(k, k) / n) @ x
+
+
+def walk_find_peaks(freqs, mags, min_prominence, max_freq_hz):
+    """Spectral peaks by a valley walk: the reference for spectral.find_peaks.
+
+    Prominence is measured against the lower of the two adjacent valley
+    minima (the spans until the next higher sample on each side).
+    """
+    if min_prominence <= 0:
+        raise ParameterError("min_prominence must be positive")
+    freqs = np.asarray(freqs, dtype=float)
+    mags = np.asarray(mags, dtype=float)
+    peaks = []
+    for i in range(1, mags.shape[0] - 1):
+        if not (mags[i] > mags[i - 1] and mags[i] > mags[i + 1]):
+            continue
+        if freqs[i] > max_freq_hz:
+            continue
+        j = i - 1
+        while j > 0 and mags[j] <= mags[i]:
+            j -= 1
+        left_valley = mags[j:i].min()
+        j = i + 1
+        while j < mags.shape[0] - 1 and mags[j] <= mags[i]:
+            j += 1
+        right_valley = mags[i + 1: j + 1].min()
+        prom = mags[i] - min(left_valley, right_valley)
+        if prom >= min_prominence:
+            peaks.append(SpectralPeak(float(freqs[i]), float(mags[i]), float(prom)))
+    peaks.sort(key=lambda p: p.amplitude, reverse=True)
+    return peaks
+
+
+def walk_sweep_peak_indices(amps):
+    """Indices of the sweep peaks that rise PEAK_PROMINENCE_RATIO of the
+    largest amplitude above their lower valley, by the same walk."""
+    amps = np.asarray(amps, dtype=float)
+    floor = PEAK_PROMINENCE_RATIO * amps.max()
+    kept = []
+    for i in range(1, amps.size - 1):
+        if not (amps[i] > amps[i - 1] and amps[i] > amps[i + 1]):
+            continue
+        j = i - 1
+        while j > 0 and amps[j] <= amps[i]:
+            j -= 1
+        left = amps[j:i].min()
+        j = i + 1
+        while j < amps.size - 1 and amps[j] <= amps[i]:
+            j += 1
+        right = amps[i + 1:j + 1].min()
+        if amps[i] - min(left, right) < floor:
+            continue
+        kept.append(i)
+    return kept
 
 
 def rk4_frenet_tips(curvature_rows_inv_m, segment_lengths_mm, total_steps=10000):

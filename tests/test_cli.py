@@ -171,6 +171,27 @@ def test_non_finite_times_are_usage_error(tmp_path, capsys):
     assert err.strip() == "error: line 2: time must be finite, got inf"
 
 
+@pytest.mark.parametrize("flag", ["--duration", "--sample-rate", "--noise"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_simulate_number_is_usage_error(tmp_path, capsys, flag, value):
+    target = tmp_path / "t.csv"
+    status, _, err = run(capsys, "simulate", "--rpm", "120", flag, value,
+                         "--out", str(target))
+    assert status == 2
+    assert len(err.strip().splitlines()) == 1
+    assert "must be finite" in err
+    assert not target.exists()
+
+
+def test_non_finite_detector_window_is_usage_error(tmp_path, capsys):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "2", "--out", str(trace))
+    status, _, err = run(capsys, "detect", str(trace), "--window", "nan",
+                         "--out", str(tmp_path / "e.csv"))
+    assert status == 2
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_import_defers_scipy_signal():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,

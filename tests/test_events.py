@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fbgvib import (BendProfile, ParameterError, Scenario, design_bandstop,
-                    apply_zero_phase, detect_steps, simulate)
+from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
+                    design_bandstop, apply_zero_phase, detect_steps, simulate)
 from fbgvib.events import events_csv_text
 
 FS = 1000.0
@@ -13,6 +13,24 @@ def test_bad_threshold_configuration_rejected():
         detect_steps(np.zeros(1000), threshold_nm=0.01, drift_nm=0.02)
     with pytest.raises(ParameterError):
         detect_steps(np.zeros(1000), threshold_nm=0.2, drift_nm=0.0)
+
+
+def test_nan_sample_cannot_hide_a_step():
+    # max(0.0, nan) is 0.0: a NaN would reset both accumulators and lose the step.
+    x = np.full(5000, 1535.3)
+    x[2500:] += 1.0
+    assert len(detect_steps(x).events) == 1
+    x[2550] = np.nan
+    with pytest.raises(DataError, match="sample 2550"):
+        detect_steps(x)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_window_or_rate_rejected(value):
+    with pytest.raises(ParameterError):
+        detect_steps(np.zeros(1000), window_s=value)
+    with pytest.raises(ParameterError):
+        detect_steps(np.zeros(1000), sample_rate_hz=value)
 
 
 def test_constant_input_no_events():

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fbgvib import (DataError, ParameterError, Scenario, default_params, dft,
-                    features_from_spectrum, find_peaks, identify_features,
-                    magnitude_spectrum, simulate)
+from fbgvib import (DataError, ParameterError, Scenario, Spectrum,
+                    default_params, dft, features_from_spectrum, find_peaks,
+                    identify_features, magnitude_spectrum, simulate)
 from fbgvib.spectral import spectrum_rows
 
 from oracles import naive_dft
@@ -14,6 +14,12 @@ from oracles import naive_dft
 def test_empty_input_rejected():
     with pytest.raises(DataError):
         dft([])
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
+def test_spectrum_rate_must_be_finite_and_positive(rate):
+    with pytest.raises(ParameterError):
+        Spectrum(n=2, sample_rate_hz=rate, bins=np.zeros(2, dtype=complex))
 
 
 def test_unit_impulse_is_flat():

@@ -1,0 +1,74 @@
+"""Property tests: the numpy transform and the shared peak-prominence helper
+against their direct forms.
+
+The references are `oracles.naive_dft` (the defining sum),
+`oracles.walk_find_peaks` and `oracles.walk_sweep_peak_indices` (the
+sample-by-sample valley walks the spectral and sweep modules first used).
+Magnitudes are small integers times a scale, so ties, plateaus and equal
+valleys occur often.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from fbgvib import analyze_sweep_points, find_peaks
+from fbgvib.spectral import fft_forward
+from fbgvib.sweep import _refine_peak
+
+from oracles import naive_dft, walk_find_peaks, walk_sweep_peak_indices
+
+PRIMES = (2, 3, 5, 7, 11, 13, 97, 101, 127, 211, 251, 257, 263, 293)
+FINITE = dict(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+@st.composite
+def quantised(draw, min_size=0, max_size=80, low=0):
+    levels = draw(st.integers(1, 8))
+    return draw(arrays(float, draw(st.integers(min_size, max_size)),
+                       elements=st.integers(low, low + levels).map(float)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(levels=quantised(),
+       scale=st.sampled_from([1.0, 0.01]),
+       prominence_steps=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+       bin_hz=st.sampled_from([0.1, 0.5]),
+       cut_bin=st.one_of(st.just(math.inf), st.integers(0, 80)))
+def test_find_peaks_matches_the_valley_walk(levels, scale, prominence_steps,
+                                            bin_hz, cut_bin):
+    mags = levels * scale
+    freqs = np.arange(mags.shape[0]) * bin_hz
+    min_prominence = prominence_steps * scale
+    max_freq_hz = cut_bin * bin_hz
+    assert (find_peaks(freqs, mags, min_prominence, max_freq_hz)
+            == walk_find_peaks(freqs, mags, min_prominence, max_freq_hz))
+
+
+@settings(max_examples=150, deadline=None)
+@given(levels=quantised(min_size=3, max_size=40, low=1),
+       scale=st.sampled_from([1.0, 0.001]))
+def test_sweep_peaks_match_the_valley_walk(params, levels, scale):
+    amps = levels * scale
+    rpms = np.geomspace(10.0, 2400.0, amps.shape[0])
+    report = analyze_sweep_points(list(zip(rpms.tolist(), amps.tolist())), params)
+    expected = [_refine_peak(rpms, amps, i) for i in walk_sweep_peak_indices(amps)]
+    assert list(report.peak_rpms) == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data(),
+       n=st.one_of(st.integers(1, 300), st.sampled_from(PRIMES)),
+       complex_input=st.booleans())
+def test_fft_forward_matches_the_direct_sum(data, n, complex_input):
+    real = st.floats(-1e3, 1e3, **FINITE)
+    x = data.draw(arrays(float, n, elements=real))
+    if complex_input:
+        x = x + 1j * data.draw(arrays(float, n, elements=real))
+    got = fft_forward(x)
+    ref = naive_dft(x)
+    assert got.dtype == np.complex128 and got.shape == (n,)
+    assert np.linalg.norm(got - ref) <= 1e-9 * max(np.linalg.norm(ref), 1e-300)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
-                    TwoDofParams, UndampedResonanceError, bend_curvature,
-                    calibrate_default_params, default_params, frf_amplitude,
-                    output_amplitude, preset_scenario, simulate)
+                    TwoDofParams, UndampedResonanceError, WavelengthTrace,
+                    bend_curvature, calibrate_default_params, default_params,
+                    frf_amplitude, output_amplitude, preset_scenario, simulate)
 
 from oracles import ode_steady_amplitudes
 
@@ -133,6 +133,23 @@ def test_nyquist_margin_enforced():
 def test_rpm_range_enforced():
     with pytest.raises(ParameterError):
         Scenario(rpm=3000.0, duration_s=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_non_finite_or_nonpositive_rate_and_duration_rejected(value):
+    with pytest.raises(ParameterError):
+        Scenario(rpm=120.0, duration_s=value)
+    with pytest.raises(ParameterError):
+        Scenario(rpm=120.0, duration_s=1.0, sample_rate_hz=value)
+    with pytest.raises(ParameterError):
+        WavelengthTrace(value, np.full((2, 3), 1535.3))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -0.1])
+def test_non_finite_or_negative_noise_rejected(sigma):
+    # `nan > 0` is false: a NaN sigma would simulate a noise-free trace.
+    with pytest.raises(ParameterError):
+        Scenario(rpm=120.0, duration_s=1.0, noise_sigma_nm=sigma)
 
 
 def test_unknown_preset_rejected():
