@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -73,15 +72,7 @@ def _pick(flag_value, config, key, default):
 
 def _params_from_config(config):
     keys = ("natural_f1_hz", "natural_f2_hz", "mass_ratio", "damping_ratio")
-    if not any(k in config for k in keys):
-        return vib_model.default_params()
-    f1 = config.get("natural_f1_hz", 0.4)
-    f2 = config.get("natural_f2_hz", 16.0)
-    params = vib_model.calibrate_default_params(
-        f1, f2, config.get("mass_ratio", 0.1), config.get("damping_ratio", 0.05))
-    anchor_hz = float(np.sqrt(f1 * f2))
-    scale = vib_model.DEFAULT_PLATEAU_NM / vib_model.output_amplitude(params, anchor_hz)
-    return replace(params, gain2=params.gain2 * scale)
+    return vib_model.default_params(**{k: config[k] for k in keys if k in config})
 
 
 def _scenario_from_args(args, config):

@@ -5,6 +5,13 @@ unit circle at the notch frequency and its poles pulled inside at a radius
 set by the requested -3 dB width, normalized for exactly unit gain at DC.
 Filters are applied forward and backward per section so the cascade has
 zero net phase: shape changes and collision transients keep their timing.
+
+Each pass starts step-matched, as if the section had run on the first
+sample forever: only the departure from that sample is filtered from rest,
+so the recursion works on the small signal rather than on the ~1535 nm
+level. The zeros are applied with array slices, and the pole pair is one
+compiled solve of a unit lower-triangular banded system, which is that
+recursion run in BLAS.
 """
 
 from __future__ import annotations
@@ -38,6 +45,8 @@ class BiquadSection:
     a2: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.b0, self.b1, self.b2, self.a1, self.a2)):
+            raise ParameterError("section coefficients must be finite")
         poles = np.roots([1.0, self.a1, self.a2])
         if poles.size and np.max(np.abs(poles)) >= 1.0:
             raise ParameterError("unstable section: poles must lie inside the unit circle")
@@ -61,8 +70,8 @@ class FilterSpec:
     notches: tuple = ()  # (center_hz, bandwidth_hz) per declared notch
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise ParameterError("sample_rate_hz must be positive")
+        if not _finite_positive(self.sample_rate_hz):
+            raise ParameterError("sample_rate_hz must be finite and positive")
         object.__setattr__(self, "sections", tuple(self.sections))
         object.__setattr__(self, "notches", tuple(self.notches))
         for center, _ in self.notches:
@@ -84,6 +93,10 @@ class FilterSpec:
 
     def sos(self):
         return np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections])
+
+
+def _finite_positive(value):
+    return math.isfinite(value) and value > 0
 
 
 def _notch_section(center_hz, bandwidth_hz, sample_rate_hz):
@@ -111,14 +124,16 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
     gain. Raises ParameterError when any notch would sit at or above the
     Nyquist frequency.
     """
-    if fundamental_hz <= 0:
-        raise ParameterError("fundamental_hz must be positive")
+    if not _finite_positive(fundamental_hz):
+        raise ParameterError("fundamental_hz must be finite and positive")
+    if not _finite_positive(sample_rate_hz):
+        raise ParameterError("sample_rate_hz must be finite and positive")
     if n_harmonics < 1:
         raise ParameterError("n_harmonics must be at least 1")
     if bandwidth_hz is None:
         bandwidth_hz = default_bandwidth_hz(fundamental_hz)
-    if bandwidth_hz <= 0:
-        raise ParameterError("bandwidth_hz must be positive")
+    if not _finite_positive(bandwidth_hz):
+        raise ParameterError("bandwidth_hz must be finite and positive")
     nyquist = sample_rate_hz / 2.0
     centers = [m * fundamental_hz for m in range(1, n_harmonics + 1)]
     if centers[-1] >= nyquist:
@@ -131,6 +146,8 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
 
 def design_lowpass(cutoff_hz, sample_rate_hz):
     """Second-order Butterworth low-pass (-3 dB at cutoff), bilinear form."""
+    if not _finite_positive(sample_rate_hz):
+        raise ParameterError("sample_rate_hz must be finite and positive")
     if not (0.0 < cutoff_hz < sample_rate_hz / 2.0):
         raise ParameterError("cutoff_hz must lie in (0, sample_rate_hz / 2)")
     k = np.tan(np.pi * cutoff_hz / sample_rate_hz)
@@ -164,9 +181,9 @@ def apply_zero_phase(spec, x):
     effective magnitude response is the square of the cascade's and the net
     phase is zero.
     """
-    # Deferred: scipy.signal takes about a second to import, and the CLI
-    # stages other than filter and sweep never get here.
-    from scipy.signal import sosfilt, sosfilt_zi
+    # Deferred: scipy.linalg takes about a quarter second to import, and the
+    # CLI stages other than filter and sweep never get here.
+    from scipy.linalg.blas import dtbsv
 
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
@@ -178,14 +195,29 @@ def apply_zero_phase(spec, x):
     left = 2.0 * x[0] - x[pad:0:-1]
     right = 2.0 * x[-1] - x[-2:-pad - 2:-1]
     y = np.concatenate((left, x, right))
-    for section in spec.sections:
-        sos = np.array([[section.b0, section.b1, section.b2, 1.0, section.a1, section.a2]])
-        # Step-matched initial state: a constant record passes untouched.
-        zi = sosfilt_zi(sos)
-        y, _ = sosfilt(sos, y, zi=zi * y[0])
-        y = y[::-1]
-        y, _ = sosfilt(sos, y, zi=zi * y[0])
-        y = y[::-1]
+    # Band storage of the unit lower-triangular system whose rows read
+    # y[n] + a1 y[n-1] + a2 y[n-2] = u[n]; row 0 (the diagonal) is never read.
+    band = np.empty((3, y.shape[0]), order="F")
+    # Work arrays reused by every pass: fresh ones would be page-faulted in.
+    d, u, tmp = np.empty((3, y.shape[0]))
+    for s in spec.sections:
+        band[1], band[2] = s.a1, s.a2
+        dc_gain = (s.b0 + s.b1 + s.b2) / (1.0 + s.a1 + s.a2)
+        for _ in range(2):
+            # Step-matched start: the section has run on y[0] forever, so
+            # y[0] leaves scaled by the DC gain and only the departure d
+            # from it is filtered from rest.
+            np.subtract(y, y[0], out=d)
+            np.multiply(d, s.b0, out=u)
+            u[1:] += np.multiply(d[:-1], s.b1, out=tmp[1:])
+            u[2:] += np.multiply(d[:-2], s.b2, out=tmp[2:])
+            filtered = dtbsv(2, band, u, lower=1, diag=1, overwrite_x=1)
+            # y += (g - 1) y[0] + (filtered - d): the identity section
+            # returns y exactly. Reversing is a view, for the next pass.
+            filtered -= d
+            filtered += (dc_gain - 1.0) * y[0]
+            y += filtered
+            y = y[::-1]
     return y[pad:pad + x.shape[0]]
 
 

@@ -89,12 +89,17 @@ class ResonanceReport:
 
 
 def _refine_peak(rpms, amps, i):
-    """Parabolic vertex through three points in (log rpm, log amplitude)."""
+    """Parabolic vertex through three points in (log rpm, log amplitude).
+
+    A zero amplitude has no logarithm, so such a peak keeps its grid rpm.
+    """
+    if not np.all(amps[i - 1:i + 2] > 0):
+        return float(rpms[i])
     x = np.log(rpms[i - 1:i + 2])
     y = np.log(amps[i - 1:i + 2])
     denom = y[0] - 2.0 * y[1] + y[2]
     if denom >= 0:
-        return rpms[i]
+        return float(rpms[i])
     shift = float(np.clip((y[0] - y[2]) / (2.0 * denom), -0.5, 0.5))
     return float(np.exp(x[1] + shift * (x[1] - x[0])))
 

@@ -163,9 +163,16 @@ def output_amplitude(params, forcing_hz):
     return abs(output_response(params, forcing_hz))
 
 
-def default_params():
-    """Calibrated model: modes at 0.4 and 16 Hz, plateau pinned at 240 rpm."""
-    p = calibrate_default_params(0.4, 16.0, mass_ratio=0.1, damping_ratio=0.05)
+def default_params(natural_f1_hz=0.4, natural_f2_hz=16.0, mass_ratio=0.1,
+                   damping_ratio=0.05):
+    """Calibrated model: modes at 0.4 and 16 Hz, plateau pinned at 240 rpm.
+
+    Any of the four model values can be replaced; the gain is still pinned
+    so the sensor oscillates DEFAULT_PLATEAU_NM at the 240 rpm (4 Hz)
+    operating point.
+    """
+    p = calibrate_default_params(natural_f1_hz, natural_f2_hz,
+                                 mass_ratio=mass_ratio, damping_ratio=damping_ratio)
     anchor_hz = 4.0
     _, x2 = frf_response(p, anchor_hz)
     return replace(p, gain2=DEFAULT_PLATEAU_NM / abs(x2))

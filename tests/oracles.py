@@ -4,17 +4,21 @@ These deliberately avoid the library's own code paths: the transform
 oracle evaluates the defining sum directly, the peak oracles walk to each
 maximum's valleys one sample at a time, the shape oracle integrates the
 planar Frenet system with fixed-step RK4, the vibration oracle time-steps
-the equations of motion to steady state, and the trace-file oracle walks
-the CSV one line at a time.
+the equations of motion to steady state, the trace-file oracle walks
+the CSV one line at a time, and the zero-phase oracles run each section
+through scipy.signal or through a long-double recursion one sample at a
+time.
 """
 
 import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.signal import sosfilt, sosfilt_zi
 
 from fbgvib import ParameterError, ParseError, WavelengthTrace
 from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
+from fbgvib.filtering import _pad_length
 from fbgvib.shape import BAND_NM
 from fbgvib.spectral import SpectralPeak
 from fbgvib.sweep import PEAK_PROMINENCE_RATIO
@@ -222,3 +226,59 @@ def line_walk_parse_trace_csv(path):
                                       t0=float(times0[0]),
                                       labels=tuple((fiber, aa) for aa in aas)))
     return traces
+
+
+def _odd_reflect(spec, x):
+    pad = _pad_length(spec, x.shape[0])
+    left = 2 * x[0] - x[pad:0:-1]
+    right = 2 * x[-1] - x[-2:-pad - 2:-1]
+    return pad, np.concatenate((left, x, right))
+
+
+def sosfilt_zero_phase(spec, x):
+    """Zero-phase cascade by scipy.signal.sosfilt, one section at a time: the
+    reference for filtering.apply_zero_phase (same padding, same order).
+
+    Each pass starts from sosfilt_zi's steady state scaled by the first
+    sample, as if the section had run on that sample forever.
+    """
+    x = np.asarray(x, dtype=float)
+    pad, y = _odd_reflect(spec, x)
+    for section in spec.sections:
+        sos = np.array([[section.b0, section.b1, section.b2, 1.0, section.a1, section.a2]])
+        zi = sosfilt_zi(sos)
+        y, _ = sosfilt(sos, y, zi=zi * y[0])
+        y = y[::-1]
+        y, _ = sosfilt(sos, y, zi=zi * y[0])
+        y = y[::-1]
+    return y[pad:pad + x.shape[0]]
+
+
+def longdouble_zero_phase(spec, x):
+    """Zero-phase cascade by the direct recursion in long double.
+
+    Each pass runs y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a1 y[n-1] - a2 y[n-2]
+    sample by sample from the steady state of a record held at its first
+    sample: inputs before the start equal that sample and outputs before
+    the start equal it times the section's DC gain. The level is carried
+    apart from the departure, so the rounding scales with the signal
+    rather than with the ~1535 nm offset.
+    """
+    x = np.asarray(x, dtype=np.longdouble)
+    pad, y = _odd_reflect(spec, x)
+    for section in spec.sections:
+        b0, b1, b2, a1, a2 = (np.longdouble(v) for v in (
+            section.b0, section.b1, section.b2, section.a1, section.a2))
+        gain = (b0 + b1 + b2) / (1 + a1 + a2)
+        for _ in range(2):
+            level = y[0]
+            d = y - level
+            out = np.empty_like(d)
+            x1 = x2 = y1 = y2 = np.longdouble(0)
+            for n in range(d.shape[0]):
+                v = b0 * d[n] + b1 * x1 + b2 * x2 - a1 * y1 - a2 * y2
+                out[n] = v
+                x2, x1 = x1, d[n]
+                y2, y1 = y1, v
+            y = (gain * level + out)[::-1]
+    return np.asarray(y[pad:pad + x.shape[0]], dtype=float)

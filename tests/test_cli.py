@@ -192,6 +192,31 @@ def test_non_finite_detector_window_is_usage_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags", [("--rpm", "nan"), ("--fundamental", "nan"),
+                                   ("--rpm", "inf"),
+                                   ("--rpm", "240", "--bandwidth", "nan")])
+def test_non_finite_filter_parameter_is_usage_error(tmp_path, capsys, flags):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "2", "--out", str(trace))
+    target = tmp_path / "f.csv"
+    status, _, err = run(capsys, "filter", str(trace), *flags, "--out", str(target))
+    assert status == 2
+    assert len(err.strip().splitlines()) == 1 and "must be finite" in err
+    assert not target.exists()
+
+
+def test_config_restating_the_default_model_changes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text("natural_f1_hz = 0.4\nnatural_f2_hz = 16\n"
+                   "mass_ratio = 0.1\ndamping_ratio = 0.05\n")
+    plain, configured = tmp_path / "plain.csv", tmp_path / "configured.csv"
+    for extra, path in (((), plain), (("--config", str(cfg)), configured)):
+        status, _, _ = run(capsys, "simulate", "--rpm", "240", "--duration", "2",
+                           *extra, "--out", str(path))
+        assert status == 0
+    assert plain.read_bytes() == configured.read_bytes()
+
+
 def test_cli_import_defers_scipy_signal():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
@@ -200,6 +225,24 @@ def test_cli_import_defers_scipy_signal():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False"
+
+
+def test_filter_and_sweep_run_without_scipy_signal(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    trace, out = tmp_path / "t.csv", tmp_path / "out.csv"
+    probe = (
+        "import sys\n"
+        "from fbgvib.cli import main\n"
+        f"assert main(['simulate', '--rpm', '120', '--duration', '3', '--out', {str(trace)!r}]) == 0\n"
+        f"assert main(['filter', {str(trace)!r}, '--rpm', '120', '--out', {str(out)!r}]) == 0\n"
+        f"assert main(['sweep', '--rpm-min', '600', '--rpm-max', '2400', '--points', '10', "
+        f"'--out', {str(out)!r}]) == 0\n"
+        "print('scipy.signal' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_analyze_transforms_channel_once(tmp_path, capsys, monkeypatch):

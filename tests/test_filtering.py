@@ -1,14 +1,18 @@
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fbgvib import (BiquadSection, DataError, FilterSpec, ParameterError,
                     apply_zero_phase, design_bandstop, design_lowpass,
                     extract_shape_component, load_filter_spec,
                     save_filter_spec)
 
-from oracles import sine_amplitude
+from oracles import longdouble_zero_phase, sine_amplitude, sosfilt_zero_phase
 
 FS = 1000.0
 
@@ -57,6 +61,23 @@ def test_lowpass_minus_3db_at_cutoff():
 def test_lowpass_bad_cutoff_rejected():
     with pytest.raises(ParameterError):
         design_lowpass(600.0, FS)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda v: design_bandstop(v, 3, 0.5, FS),
+    lambda v: design_bandstop(2.0, 3, v, FS),
+    lambda v: design_bandstop(2.0, 3, 0.5, v),
+    lambda v: design_lowpass(v, FS),
+    lambda v: design_lowpass(10.0, v),
+    lambda v: FilterSpec(sections=(), sample_rate_hz=v),
+    lambda v: BiquadSection(1.0, 0.0, 0.0, v, 0.0),
+    lambda v: BiquadSection(v, 0.0, 0.0, 0.0, 0.0),
+], ids=["fundamental", "bandwidth", "bandstop-rate", "cutoff", "lowpass-rate",
+        "spec-rate", "pole-coefficient", "zero-coefficient"])
+def test_non_finite_parameter_rejected(call, bad):
+    with pytest.raises(ParameterError, match="finite|cutoff_hz"):
+        call(bad)
 
 
 # --- zero-phase application -------------------------------------------------
@@ -121,6 +142,64 @@ def test_composition_with_spectrum_matches_squared_response():
         measured = sine_amplitude(y[10000:50000], FS, f_probe)
         predicted = abs(spec.response(f_probe)) ** 2
         assert measured == pytest.approx(predicted, rel=0.10)
+
+
+# --- against the references -------------------------------------------------
+
+def line_record(sample_rate_hz, n=3000):
+    rng = np.random.default_rng(1)
+    t = np.arange(n) / sample_rate_hz
+    return 1535.3 + 0.05 * np.sin(2 * np.pi * 4.0 * t) + rng.normal(0.0, 0.002, n)
+
+
+def test_notch_within_1e_11_nm_of_long_double_recursion():
+    # A 1535 nm record carrying a 4 Hz line. Filtering the level itself, as
+    # sosfilt with a scaled initial state does, errs by about 5e-10 nm here.
+    x = line_record(FS)
+    spec = design_bandstop(4.0, sample_rate_hz=FS)
+    assert np.max(np.abs(apply_zero_phase(spec, x) - longdouble_zero_phase(spec, x))) <= 1e-11
+
+
+@pytest.mark.parametrize("sample_rate_hz", [FS, 250.0])
+def test_sweep_lowpass_within_1e_10_nm_of_long_double_recursion(sample_rate_hz):
+    # The sweep's 0.05 Hz shape remover, where sosfilt errs by up to 3e-6 nm.
+    x = line_record(sample_rate_hz)
+    spec = design_lowpass(0.05, sample_rate_hz)
+    assert np.max(np.abs(apply_zero_phase(spec, x) - longdouble_zero_phase(spec, x))) <= 1e-10
+
+
+@st.composite
+def designs(draw):
+    if draw(st.booleans()):
+        spec = design_lowpass(draw(st.floats(0.05, 100.0)), FS)
+    else:
+        fundamental = draw(st.floats(0.5, 60.0))
+        spec_args = dict(n_harmonics=draw(st.integers(1, 3)), sample_rate_hz=FS,
+                         bandwidth_hz=draw(st.one_of(st.none(), st.floats(0.2, 5.0))))
+        try:
+            spec = design_bandstop(fundamental, **spec_args)
+        except ParameterError:
+            assume(False)
+    # A coefficient file may hold sections whose DC gain is not one.
+    k = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    return FilterSpec(sections=[BiquadSection(k * s.b0, k * s.b1, k * s.b2, s.a1, s.a2)
+                                for s in spec.sections], sample_rate_hz=FS)
+
+
+@settings(max_examples=80, deadline=None)
+@given(spec=designs(), data=st.data())
+def test_matches_the_sosfilt_cascade(spec, data):
+    n = data.draw(st.integers(6 * len(spec.sections) + 1, 4000))
+    x = 1535.0 + data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    got = apply_zero_phase(spec, x)
+    ref = sosfilt_zero_phase(spec, x)
+    tol = 1e-9 * np.max(np.abs(ref))
+    if np.max(np.abs(got - ref)) > tol:
+        # sosfilt carries the ~1535 nm level through the recursion, so on a
+        # slow low-pass or a notch wider than its center it errs by more than
+        # the bound itself (3e-6 nm at 0.05 Hz); the long-double one decides.
+        ref = longdouble_zero_phase(spec, x)
+    assert np.max(np.abs(got - ref)) <= tol
 
 
 # --- shape extraction -------------------------------------------------------

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from fbgvib import (DataError, ParameterError, Scenario, default_rpm_grid,
-                    frf_amplitude, ingest_sweep_dir, output_amplitude,
-                    run_sweep, simulate, steady_amplitude)
+from fbgvib import (DataError, ParameterError, Scenario, analyze_sweep_points,
+                    default_rpm_grid, frf_amplitude, ingest_sweep_dir,
+                    output_amplitude, run_sweep, simulate, steady_amplitude)
 from fbgvib.dataio import write_trace_csv
 from fbgvib.sweep import report_csv_text, summary_text
 
@@ -68,6 +68,13 @@ def test_too_few_points_rejected(params):
     template = Scenario(rpm=10.0, duration_s=5.0)
     with pytest.raises(ParameterError):
         run_sweep([10, 100, 1000], template, params)
+
+
+def test_peak_next_to_zero_amplitude_keeps_its_grid_rpm(params, recwarn):
+    report = analyze_sweep_points([(10, 0.0), (20, 1.0), (30, 0.5), (40, 0.4)], params)
+    assert report.peak_rpms == (20.0,)
+    assert report.avoid_bands_rpm[0][0] <= 20.0 <= report.avoid_bands_rpm[0][1]
+    assert not recwarn.list
 
 
 def test_exactly_two_peaks_at_known_resonances(report):
