@@ -9,6 +9,7 @@ byte-identical for a fixed seed and configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -25,6 +26,17 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _finite_float(text):
+    """argparse type for float flags: NaN and infinities are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def _parse_bend(text):
     """Build a BendProfile from 'pull=60,release=60,cable_speed=0.1,...'."""
     segments = []
@@ -39,6 +51,8 @@ def _parse_bend(text):
             val = float(value)
         except ValueError:
             raise ParameterError(f"--bend value for {key!r} must be numeric") from None
+        if not math.isfinite(val):
+            raise ParameterError(f"--bend value for {key!r} must be finite, got {value!r}")
         if key in vib_model.BEND_PHASES:
             segments.append((key, val))
         elif key == "cable_speed":
@@ -263,12 +277,12 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="generate a synthetic trace CSV")
     common(p)
-    p.add_argument("--rpm", type=float, default=None)
+    p.add_argument("--rpm", type=_finite_float, default=None)
     p.add_argument("--preset", choices=sorted(vib_model.SCENARIO_PRESETS))
-    p.add_argument("--duration", type=float, default=None, help="seconds")
-    p.add_argument("--sample-rate", type=float, default=None, help="Hz")
-    p.add_argument("--noise", type=float, default=None, help="sigma, nm")
-    p.add_argument("--base", type=float, default=None, help="base wavelength, nm")
+    p.add_argument("--duration", type=_finite_float, default=None, help="seconds")
+    p.add_argument("--sample-rate", type=_finite_float, default=None, help="Hz")
+    p.add_argument("--noise", type=_finite_float, default=None, help="sigma, nm")
+    p.add_argument("--base", type=_finite_float, default=None, help="base wavelength, nm")
     p.add_argument("--bend", help="e.g. pull=60,release=60,cable_speed=0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
@@ -279,19 +293,19 @@ def build_parser():
     p.add_argument("--fiber", type=int, default=0)
     p.add_argument("--aa", type=int, default=0)
     p.add_argument("--window", choices=spectral.WINDOWS, default="hann")
-    p.add_argument("--rpm-hint", type=float, default=None)
-    p.add_argument("--max-freq", type=float, default=None)
-    p.add_argument("--prominence", type=float, default=None)
+    p.add_argument("--rpm-hint", type=_finite_float, default=None)
+    p.add_argument("--max-freq", type=_finite_float, default=None)
+    p.add_argument("--prominence", type=_finite_float, default=None)
     p.add_argument("--out", default=None, help="spectrum CSV path")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("filter", help="remove tool vibration with notches")
     common(p)
     p.add_argument("trace")
-    p.add_argument("--fundamental", type=float, default=None, help="Hz")
-    p.add_argument("--rpm", type=float, default=None)
+    p.add_argument("--fundamental", type=_finite_float, default=None, help="Hz")
+    p.add_argument("--rpm", type=_finite_float, default=None)
     p.add_argument("--notch-harmonics", type=int, default=None)
-    p.add_argument("--bandwidth", type=float, default=None, help="Hz")
+    p.add_argument("--bandwidth", type=_finite_float, default=None, help="Hz")
     p.add_argument("--save-spec", default=None, help="coefficient file path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter)
@@ -301,8 +315,8 @@ def build_parser():
     p.add_argument("trace")
     p.add_argument("--fiber", type=int, default=0)
     p.add_argument("--calibration", default=None, help="calibration CSV")
-    p.add_argument("--length", type=float, default=35.0, help="mm")
-    p.add_argument("--at-time", type=float, default=None, help="seconds")
+    p.add_argument("--length", type=_finite_float, default=35.0, help="mm")
+    p.add_argument("--at-time", type=_finite_float, default=None, help="seconds")
     p.add_argument("--out", required=True, help="polyline CSV path")
     p.add_argument("--out-tips", default=None, help="tip time-series CSV")
     p.set_defaults(func=_cmd_shape)
@@ -312,21 +326,21 @@ def build_parser():
     p.add_argument("trace")
     p.add_argument("--fiber", type=int, default=0)
     p.add_argument("--aa", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=None, help="nm")
-    p.add_argument("--drift", type=float, default=None, help="nm per window")
-    p.add_argument("--window", type=float, default=None, help="seconds")
+    p.add_argument("--threshold", type=_finite_float, default=None, help="nm")
+    p.add_argument("--drift", type=_finite_float, default=None, help="nm per window")
+    p.add_argument("--window", type=_finite_float, default=None, help="seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("sweep", help="amplitude vs rpm and resonances")
     common(p)
     p.add_argument("--preset", default=None, help="'paper' = 40-point log grid")
-    p.add_argument("--rpm-min", type=float, default=None)
-    p.add_argument("--rpm-max", type=float, default=None)
+    p.add_argument("--rpm-min", type=_finite_float, default=None)
+    p.add_argument("--rpm-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=40)
-    p.add_argument("--duration", type=float, default=None)
-    p.add_argument("--sample-rate", type=float, default=None)
-    p.add_argument("--noise", type=float, default=None)
+    p.add_argument("--duration", type=_finite_float, default=None)
+    p.add_argument("--sample-rate", type=_finite_float, default=None)
+    p.add_argument("--noise", type=_finite_float, default=None)
     p.add_argument("--from-dir", default=None, help="ingest rpm_<value>.csv files")
     p.add_argument("--summary", default=None)
     p.add_argument("--out", required=True)

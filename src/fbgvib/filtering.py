@@ -91,9 +91,6 @@ class FilterSpec:
             return complex(h)
         return h
 
-    def sos(self):
-        return np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in self.sections])
-
 
 def _finite_positive(value):
     return math.isfinite(value) and value > 0
@@ -152,10 +149,11 @@ def design_lowpass(cutoff_hz, sample_rate_hz):
         raise ParameterError("cutoff_hz must lie in (0, sample_rate_hz / 2)")
     k = np.tan(np.pi * cutoff_hz / sample_rate_hz)
     norm = 1.0 / (1.0 + np.sqrt(2.0) * k + k * k)
-    b0 = k * k * norm
-    section = BiquadSection(b0=b0, b1=2.0 * b0, b2=b0,
-                            a1=2.0 * (k * k - 1.0) * norm,
-                            a2=(1.0 - np.sqrt(2.0) * k + k * k) * norm)
+    a1 = 2.0 * (k * k - 1.0) * norm
+    a2 = (1.0 - np.sqrt(2.0) * k + k * k) * norm
+    # b0 + b1 + b2 == 1 + a1 + a2 in floating point: exactly unit DC gain.
+    b0 = (1.0 + a1 + a2) / 4.0
+    section = BiquadSection(b0=b0, b1=2.0 * b0, b2=b0, a1=a1, a2=a2)
     return FilterSpec(sections=(section,), sample_rate_hz=sample_rate_hz)
 
 

@@ -59,9 +59,6 @@ class Spectrum:
         if self.window not in WINDOWS:
             raise ParameterError(f"unknown window {self.window!r}")
 
-    def frequencies(self):
-        return np.arange(self.n) * (self.sample_rate_hz / self.n)
-
 
 def dft(x, sample_rate_hz=1.0):
     """N-point transform X[k] = sum_n x[n] exp(-j 2 pi k n / N).

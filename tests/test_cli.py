@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from fbgvib import WavelengthTrace, filtering, spectral
-from fbgvib.cli import main
+from fbgvib.cli import build_parser, main
 from fbgvib.dataio import parse_trace_csv, write_trace_csv
 
 
@@ -202,6 +203,77 @@ def test_non_finite_filter_parameter_is_usage_error(tmp_path, capsys, flags):
     status, _, err = run(capsys, "filter", str(trace), *flags, "--out", str(target))
     assert status == 2
     assert len(err.strip().splitlines()) == 1 and "must be finite" in err
+    assert not target.exists()
+
+
+#: Every float-valued flag, per subcommand, with arguments that are valid otherwise.
+FLOAT_FLAGS = {
+    "simulate": (["--rpm", "--duration", "--sample-rate", "--noise", "--base"],
+                 ["--rpm", "120", "--duration", "1"]),
+    "analyze": (["--rpm-hint", "--max-freq", "--prominence"], ["t.csv"]),
+    "filter": (["--fundamental", "--rpm", "--bandwidth"], ["t.csv", "--rpm", "120"]),
+    "shape": (["--length", "--at-time"], ["t.csv"]),
+    "detect": (["--threshold", "--drift", "--window"], ["t.csv"]),
+    "sweep": (["--rpm-min", "--rpm-max", "--duration", "--sample-rate", "--noise"], []),
+}
+
+
+def test_float_flag_table_lists_every_float_flag():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    found = {name: sorted(a.option_strings[0] for a in sub._actions
+                          if a.type not in (None, int, str))
+             for name, sub in subparsers.choices.items()}
+    assert found == {name: sorted(flags) for name, (flags, _) in FLOAT_FLAGS.items()}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command,flag", [(c, f) for c, (flags, _) in FLOAT_FLAGS.items()
+                                          for f in flags])
+def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, monkeypatch,
+                                              command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "simulate", "--rpm", "120", "--duration", "2", "--out", "t.csv")
+    # "--flag=-inf": a separate "-inf" would read as an unknown option.
+    status, out, err = run(capsys, command, *FLOAT_FLAGS[command][1], f"{flag}={value}",
+                           "--out", "out.csv")
+    assert status == 2 and out == ""
+    assert err.splitlines() == [f"error: argument {flag}: must be finite, got {value!r}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_non_numeric_float_flag_keeps_its_message(capsys):
+    status, _, err = run(capsys, "simulate", "--rpm", "fast", "--out", "x.csv")
+    assert status == 2
+    assert err.splitlines() == ["error: argument --rpm: invalid float value: 'fast'"]
+
+
+@pytest.mark.parametrize("bend", ["pull=0.5,release=0.5,curvature_gain=inf",
+                                  "pull=0.5,release=0.5,cable_speed=nan",
+                                  "pull=nan", "slack_scale=-inf"])
+def test_non_finite_bend_value_is_usage_error(tmp_path, capsys, bend):
+    target = tmp_path / "t.csv"
+    status, _, err = run(capsys, "simulate", "--rpm", "120", "--duration", "1",
+                         "--bend", bend, "--out", str(target))
+    assert status == 2
+    assert len(err.splitlines()) == 1 and "must be finite" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--base", "1600"], ""),
+    (["--bend", "pull=0.5,release=0.5,curvature_gain=1e6"], ""),
+    ([], "base_wavelength_nm = nan\n"),
+    ([], "noise_sigma_nm = inf\n"),
+])
+def test_simulate_never_writes_a_trace_the_reader_rejects(tmp_path, capsys, flags, config):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    target = tmp_path / "t.csv"
+    status, _, err = run(capsys, "simulate", "--rpm", "120", "--duration", "1",
+                         "--config", str(cfg), *flags, "--out", str(target))
+    assert status == 2
+    assert len(err.splitlines()) == 1
     assert not target.exists()
 
 

@@ -151,3 +151,24 @@ def test_malformed_config_line(tmp_path):
     path.write_text("duration_s 10\n")
     with pytest.raises(ParseError):
         parse_config(path)
+
+
+@pytest.mark.parametrize("change", [
+    {"channels": [[1535.3], [float("nan")]]},
+    {"channels": [[1535.3], [float("inf")]]},
+    {"channels": [[1535.3], [1600.0]]},
+    {"channels": [[1509.0], [1535.3]]},
+    {"t0": float("nan")},
+    {"t0": float("inf")},
+    {"labels": ((2, 0),)},
+    {"labels": ((0, 3),)},
+])
+def test_writer_rejects_what_the_reader_rejects(tmp_path, change):
+    fields = {"sample_rate_hz": 1000.0, "channels": [[1535.3], [1535.4]],
+              "t0": 0.0, "labels": ((0, 0),)}
+    fields.update(change)
+    fields["channels"] = np.array(fields["channels"])
+    path = tmp_path / "t.csv"
+    with pytest.raises(ParameterError):
+        write_trace_csv(path, WavelengthTrace(**fields))
+    assert not path.exists()

@@ -210,6 +210,14 @@ def test_dc_passthrough():
     assert np.allclose(y, 2.5, atol=1e-9)
 
 
+@pytest.mark.parametrize("sample_rate_hz", [250.0, 1000.0, 2000.0])
+@pytest.mark.parametrize("cutoff_hz", [0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0])
+def test_lowpass_returns_a_constant_exactly(sample_rate_hz, cutoff_hz):
+    for level in (1535.0, 1535.3, 1510.123456789):
+        y = extract_shape_component(np.full(2000, level), cutoff_hz, sample_rate_hz)
+        assert np.all(y == level)
+
+
 def test_two_tone_separation():
     t = np.arange(120000) / FS
     slow = np.sin(2 * np.pi * 0.01 * t)

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fbgvib import ParseError, WavelengthTrace
+from fbgvib import ParseError, WavelengthTrace, dataio
 from fbgvib.dataio import (CHUNK_ROWS, csv_text, parse_trace_csv, tips_csv_text,
                            trace_csv_text)
 from fbgvib.shape import BAND_NM
@@ -135,3 +135,92 @@ def test_writers_across_chunk_boundaries(n):
     expected = ["frequency_hz,magnitude_nm"] + [
         f"{f:.9f},{m:.9g}" for f, m in zip(freqs, mags)]
     assert spectrum_rows(freqs, mags) == "\n".join(expected) + "\n"
+
+
+def _near(value):
+    """value and its neighbouring doubles, both signs."""
+    below, above = np.nextafter(value, 0.0), np.nextafter(value, np.inf)
+    return st.sampled_from([below, value, above]).map(float) | \
+        st.sampled_from([-below, -value, -above]).map(float)
+
+
+def fixed_point_values(decimals):
+    """Doubles that stress '{:.Nf}': ties, signed zeros, the 2**52 edge."""
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.floats(-1e6, 1e6),
+        st.builds(lambda j, k: j / 2.0 ** k, st.integers(-2**40, 2**40),
+                  st.integers(0, 60)),  # dyadic: exact half-way cases
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+        _near(2.0 ** 52 / 10.0 ** decimals),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(rows=st.lists(st.tuples(
+           fixed_point_values(6) | st.sampled_from([np.nan, np.inf, -np.inf]),
+           fixed_point_values(9)), max_size=40),
+       chunk_rows=st.integers(1, 8))
+def test_fixed_point_rows_match_per_row_formatting(rows, chunk_rows):
+    # Small chunks mix rows formatted as arrays with chunks a non-finite
+    # value sends to str.format.
+    columns = [np.array([r[i] for r in rows], dtype=float) for i in range(2)]
+    expected = "".join(["h\n"] + [f"{a:.6f},{b:.9f}\n" for a, b in rows])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "CHUNK_ROWS", chunk_rows)
+        assert csv_text("h", "{:.6f},{:.9f}\n", columns) == expected
+
+
+@pytest.mark.parametrize("decimals", range(16))
+def test_fixed_point_rows_at_every_precision(decimals):
+    rng = np.random.default_rng(decimals)
+    scale = 2.0 ** 52 / 10.0 ** decimals
+    values = np.concatenate([
+        rng.integers(-2**30, 2**30, 3000) / 2.0 ** rng.integers(0, 40, 3000),
+        rng.uniform(-1.0, 1.0, 3000) * scale,
+        rng.normal(0.0, 1.0, 3000) * 10.0 ** rng.integers(-20, 10, 3000),
+        [0.0, -0.0, scale, -scale, np.nextafter(scale, 0.0), 0.5, 1.5, 2.5],
+    ])
+    template = f"{{0:.{decimals}f}};{{0:.{decimals}f}}|\n"
+    expected = "".join(["h\n"] + [template.format(v) for v in values.tolist()])
+    assert csv_text("h", template, [values]) == expected
+
+
+def _instants(lines):
+    """Data lines grouped by their time field, in file order."""
+    groups = []
+    for line in lines:
+        if groups and groups[-1][0].split(",")[0] == line.split(",")[0]:
+            groups[-1].append(line)
+        else:
+            groups.append([line])
+    return groups
+
+
+@FILE_SETTINGS
+@given(traces=trace_sets(), data=st.data())
+def test_rows_in_any_label_order_parse_like_the_oracle(tmp_path, traces, data):
+    header, *lines = trace_csv_text(traces).splitlines()
+    shuffled = [row for group in _instants(lines)
+                for row in data.draw(st.permutations(group), label="instant")]
+    if data.draw(st.booleans(), label="drop a row"):
+        del shuffled[data.draw(st.integers(0, len(shuffled) - 1), label="row")]
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join([header] + shuffled) + "\n")
+    expected = outcome(line_walk_parse_trace_csv, path)
+    assert outcome(parse_trace_csv, path) == expected
+    if len(shuffled) == len(lines):  # the label order changes nothing
+        path.write_text(trace_csv_text(traces))
+        assert outcome(parse_trace_csv, path) == expected
+
+
+@pytest.mark.parametrize("template", [
+    "{:.2f} µm\n", "{0:.3f},{1!r}\n", "{:>9.2f}\n", "{0.real:.2f}\n", "{:.2e},{:.0f}\n",
+    "{:.16f}\n", "{1:.1f}{0:.1f}\n", "no fields\n",
+])
+def test_other_templates_format_like_str_format(template):
+    values = np.array([0.125, -2.5, 1535.3, -0.0, 1e17, 3.0])
+    columns = [values, values[::-1]]
+    expected = "".join(["h\n"] + [template.format(*row) for row in
+                                  zip(*(c.tolist() for c in columns))])
+    assert csv_text("h", template, columns) == expected
