@@ -210,9 +210,7 @@ def _cmd_shape(args):
     estimate = shape.reconstruct(curvatures, geometry)
     dataio.atomic_write_text(args.out, shape.shape_csv_text(estimate))
     if args.out_tips:
-        base = np.array(calibration.base_wavelengths_nm)
-        sens = np.array(calibration.sensitivities_nm_per_invm)
-        kappas = (trace.channels - base) / sens
+        kappas = shape.wavelength_to_curvature(trace.channels, calibration)
         tips = shape.tips_for_curvatures(kappas, geometry)
         dataio.atomic_write_text(args.out_tips,
                                  dataio.tips_csv_text(trace.times(), tips))

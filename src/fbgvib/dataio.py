@@ -9,12 +9,12 @@ so an error never leaves a partial output behind.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 import re
 import string
 import tempfile
-import warnings
 
 import numpy as np
 
@@ -29,6 +29,10 @@ FALLBACK_SAMPLE_RATE_HZ = 1000.0
 
 RATE_TOLERANCE = 1e-6  # relative spread allowed between sample intervals
 
+TIME_DECIMALS = 6  # digits after the point of a trace file's times
+
+_WRITE_CHARS = 1 << 20  # characters encoded and written at a time
+
 
 def atomic_write_text(path, text):
     """Write text to path via a temp file and atomic rename."""
@@ -37,7 +41,10 @@ def atomic_write_text(path, text):
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            # A slice at a time: the text and its encoding are never both
+            # held whole.
+            for start in range(0, len(text), _WRITE_CHARS):
+                fh.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -49,8 +56,6 @@ def atomic_write_text(path, text):
 #: that one chunk's formatting holds at once.
 CHUNK_ROWS = 4096
 
-_ROW_DTYPE = np.dtype([("time_s", np.float64), ("fiber", np.int64),
-                       ("aa", np.int64), ("wavelength_nm", np.float64)])
 FIBERS = (0, 1)
 AREAS = (0, 1, 2)
 
@@ -118,14 +123,10 @@ def _product_error(a, b, p):
     return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
-def _fixed_writes(x, decimals):
-    """``f"{v:.{decimals}f}"`` of each value as writes into a byte matrix.
-
-    Returns ``(width, writes)``: each write is ``(offset, values)``, one
-    uint8 or one uint32 word of four ASCII bytes per row. Later writes go
-    over earlier ones, and bytes left 0 are dropped from the text. None when
-    a value is not finite or ``|v| * 10**decimals`` reaches 2**52.
-    """
+def _scaled_integers(x, decimals):
+    """The integer ``f"{v:.{decimals}f}"`` spells without point and sign:
+    |v| * 10**decimals rounded half to even on its exact value, as float64.
+    None when a value is not finite or the product reaches 2**52."""
     a = np.abs(x)
     scale = 10.0 ** decimals
     with np.errstate(over="ignore"):
@@ -139,6 +140,20 @@ def _fixed_writes(x, decimals):
     if tie.size:  # half-way in p: decide on the exact product, half to even
         e = _product_error(a[tie], scale, p[tie])
         k[tie] += (e > 0) | ((e == 0) & (k[tie] % 2 == 1))
+    return k
+
+
+def _fixed_writes(x, decimals):
+    """``f"{v:.{decimals}f}"`` of each value as writes into a byte matrix.
+
+    Returns ``(width, writes)``: each write is ``(offset, values)``, one
+    uint8 or one uint32 word of four ASCII bytes per row. Later writes go
+    over earlier ones, and bytes left 0 are dropped from the text. None when
+    a value is not finite or ``|v| * 10**decimals`` reaches 2**52.
+    """
+    k = _scaled_integers(x, decimals)
+    if k is None:
+        return None
     k = k.astype(np.int64)
     whole = k // 10 ** decimals
     part = k - whole * 10 ** decimals
@@ -225,8 +240,12 @@ def trace_csv_text(traces):
 
     Multiple traces are interleaved by sample instant and must share the
     same time axis. What parse_trace_csv would reject raises ParameterError:
-    non-finite times, labels outside FIBERS and AREAS, and wavelengths that
-    are not finite or lie outside BAND_NM.
+    non-finite times, labels outside FIBERS and AREAS, wavelengths that are
+    not finite or lie outside BAND_NM, and times that do not read back as
+    they print: printed with TIME_DECIMALS decimals, their spacing must be
+    uniform within RATE_TOLERANCE (so a period below 1 s must be a whole
+    number of microseconds: 3 Hz and 1024 Hz are refused), and the start
+    and rate read from them must give the same text again.
     """
     if isinstance(traces, WavelengthTrace):
         traces = [traces]
@@ -246,13 +265,44 @@ def trace_csv_text(traces):
         if other.n_samples != first.n_samples or not np.allclose(
                 other.times(), times, rtol=0, atol=1e-9):
             raise ParameterError("traces written together must share sample instants")
+    problem = _reread_problem(times)
+    if problem:
+        raise ParameterError(f"at {first.sample_rate_hz:g} Hz the times printed "
+                             f"with {TIME_DECIMALS} decimals {problem}")
     # One format call writes every row of a sample instant.
     labels = [label for trace in traces for label in trace.labels]
-    instant = "".join(f"{{0:.6f}},{fiber},{aa},{{{k}:.9f}}\n"
+    instant = "".join(f"{{0:.{TIME_DECIMALS}f}},{fiber},{aa},{{{k}:.9f}}\n"
                       for k, (fiber, aa) in enumerate(labels, start=1))
     channels = [trace.channels[:, col] for trace in traces
                 for col in range(trace.channels.shape[1])]
     return csv_text(TRACE_HEADER, instant, [times] + channels)
+
+
+def _printed(x, decimals):
+    """``float(f"{v:.{decimals}f}")`` of each finite value: the digits' integer
+    over an exact power of ten, one correctly rounded division."""
+    k = _scaled_integers(x, decimals)
+    if k is None:
+        return np.array([float(f"{v:.{decimals}f}") for v in x.tolist()])
+    return np.copysign(k / 10.0 ** decimals, x)
+
+
+def _reread_problem(times):
+    """Why parse_trace_csv would not read these times back as they print,
+    or None: the printed times must pass its spacing check, and the start
+    and rate it derives must print them again."""
+    printed = _printed(times, TIME_DECIMALS)
+    rate = FALLBACK_SAMPLE_RATE_HZ
+    if times.shape[0] > 1:
+        dt, problem = _spacing(printed)
+        if problem:
+            return f"fail the reader's check: {problem}"
+        rate = 1.0 / dt
+    again = _printed(printed[0] + np.arange(times.shape[0]) / rate, TIME_DECIMALS)
+    if not (np.array_equal(again, printed)
+            and np.array_equal(np.signbit(again), np.signbit(printed))):
+        return "read back as other times"
+    return None
 
 
 def write_trace_csv(path, traces):
@@ -289,15 +339,31 @@ def _row_values(raw):
     return t, fiber, aa, wl
 
 
-def _scan_rows(path):
+def _text_file(data):
+    """The file's bytes as ``open(path)`` reads them: the locale's encoding,
+    universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
+def _check_header(data):
+    """ParseError on line 1 unless the first line, read as text and
+    stripped, is TRACE_HEADER."""
+    header = _text_file(data).readline()
+    if not header:
+        raise ParseError("empty file", line=1)
+    if header.strip() != TRACE_HEADER:
+        raise ParseError(f"expected header {TRACE_HEADER!r}", line=1)
+
+
+def _scan_rows(data):
     """Check the data lines one by one; the first bad one raises ParseError.
 
-    The slow path of parse_trace_csv, taken only when the bulk parse or its
-    checks fail: it names the offending line, or returns the rows of a valid
-    file the bulk parser could not read (e.g. one with whitespace-only lines).
+    The slow path of parse_trace_csv, taken when the fixed-layout reader
+    does not apply or its checks fail: it names the offending line, or
+    returns the columns (time, fiber, aa, wavelength) of a valid file in
+    any layout float() and int() read (e.g. one with blank lines).
     """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _text_file(data).read().splitlines()
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
@@ -309,18 +375,128 @@ def _scan_rows(path):
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
         rows.append(row)
-    return np.array(rows, dtype=_ROW_DTYPE)
+    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T)
 
 
-def _rows_valid(rows):
-    """Vectorised form of the per-line checks in _row_values and _scan_rows."""
-    t, wl = rows["time_s"], rows["wavelength_nm"]
-    fiber, aa = rows["fiber"], rows["aa"]
+#: One data line as the trace writer prints it: time and wavelength as
+#: ``[-]D+[.D+]``, the labels as ``D+``.
+_FIXED_LINE = re.compile(
+    rb"(-?)([0-9]+)(?:\.([0-9]+))?,([0-9]+),([0-9]+),(-?)([0-9]+)(?:\.([0-9]+))?\n")
+#: Regex groups (sign, whole digits, fraction digits) of each field.
+_FIXED_FIELDS = ((1, 2, 3), (None, 4, None), (None, 5, None), (6, 7, 8))
+#: Runs of equal-length lines the fixed-layout reader takes: the writer's
+#: time field widens at 10 s, 100 s, ..., so a file holds a handful.
+_MAX_RUNS = 8
+#: Digits in one field: the sum of their ASCII codes times their powers of
+#: ten is then at most 57 * (10**15 - 1) / 9 < 2**53, so every step is exact.
+_MAX_DIGITS = 15
+_BLOCK_BYTES = 1 << 16  # bytes of a run read per step
+
+
+def _line_runs(data, start):
+    """``[(offset, lines, width)]``: data[start:] cut into runs of
+    consecutive lines of equal length, or None when the last line has no
+    newline or there are more than _MAX_RUNS runs."""
+    buf = np.frombuffer(data, np.uint8)
+    runs = []
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0 or len(runs) == _MAX_RUNS:
+            return None
+        width = end + 1 - start
+        ends = buf[end::width] == ord("\n")
+        lines = ends.size if ends.all() else int(ends.argmin())
+        runs.append((start, lines, width))
+        start += lines * width
+    return runs
+
+
+def _fixed_columns(data, start):
+    """Columns (time, fiber, aa, wavelength) of the lines data[start:], or
+    None unless every line has the fixed-decimal layout the writer prints.
+
+    Each run of equal-length lines is a ``(lines, width)`` uint8 matrix. A
+    run is read when its first line matches _FIXED_LINE with at most
+    _MAX_DIGITS digits a field, and every line has a digit where the first
+    line has one and the first line's bytes elsewhere. A field's value is
+    then its integer mantissa, the sum of its digits times their powers of
+    ten (one matrix product with the run's bytes, exact below 2**53),
+    divided by 10**decimals and negated under a minus sign: one correctly
+    rounded step from exact operands, the double float() gives (Clinger
+    1990).
+    """
+    runs = _line_runs(data, start)
+    if runs is None:
+        return None
+    buf = np.frombuffer(data, np.uint8)
+    columns = np.empty((len(_FIXED_FIELDS), sum(lines for _, lines, _ in runs)))
+    row = 0
+    for offset, lines, width in runs:
+        rows = buf[offset:offset + lines * width].reshape(lines, width)
+        first = rows[0]
+        match = _FIXED_LINE.fullmatch(first.tobytes())
+        if not match:
+            return None
+        digit = (first >= ord("0")) & (first <= ord("9"))
+        low = np.where(digit, np.uint8(ord("0")), first)
+        span = digit.astype(np.uint8) * 9
+        powers = np.zeros((len(_FIXED_FIELDS), width))  # each digit's weight
+        decimals, negative = [], []
+        for f, (minus, whole, fraction) in enumerate(_FIXED_FIELDS):
+            after = range(*match.span(fraction)) if fraction else range(0)
+            digits = [*range(*match.span(whole)), *after]
+            if len(digits) > _MAX_DIGITS:
+                return None
+            powers[f, digits] = 10.0 ** np.arange(len(digits) - 1, -1, -1)
+            decimals.append(len(after))
+            negative.append(bool(minus and match[minus]))
+        values = columns[:, row:row + lines]
+        # A block of lines at a time keeps its bytes in cache for both steps.
+        step = max(1, _BLOCK_BYTES // width)
+        for at in range(0, lines, step):
+            block = rows[at:at + step]
+            if not np.all(block - low <= span):
+                return None
+            np.matmul(powers, block.T.astype(np.float64), out=values[:, at:at + step])
+        # The products summed ASCII codes: take off "0" times each power.
+        values -= (powers.sum(axis=1) * ord("0"))[:, None]
+        for f in range(len(_FIXED_FIELDS)):
+            if decimals[f]:
+                values[f] /= 10.0 ** decimals[f]
+            if negative[f]:
+                np.negative(values[f], out=values[f])
+        row += lines
+    return tuple(columns)
+
+
+def _rows_valid(t, fiber, aa, wl):
+    """Vectorised form of the per-line checks in _row_values and _scan_rows,
+    for columns of finite values such as _fixed_columns reads."""
     return bool(np.all((FIBERS[0] <= fiber) & (fiber <= FIBERS[-1]))
                 and np.all((AREAS[0] <= aa) & (aa <= AREAS[-1]))
                 and np.all((BAND_NM[0] <= wl) & (wl <= BAND_NM[1]))
-                and np.all(np.isfinite(t))
                 and not np.any(t[1:] < t[:-1]))
+
+
+def _median(x):
+    """np.median of finite values, without the numpy.ma import (about 20 ms)
+    its first call makes: the mean of the middle value or two, as np.median
+    takes it."""
+    n = x.shape[0]
+    part = np.partition(x, [(n - 1) // 2, n // 2])
+    return np.mean(part[(n - 1) // 2:n // 2 + 1])
+
+
+def _spacing(times):
+    """(median interval, None) of sorted instants, or (median, what is
+    wrong) when they repeat or vary by more than RATE_TOLERANCE."""
+    deltas = np.diff(times)
+    dt = float(_median(deltas))
+    if dt <= 0:
+        return dt, "repeats sample instants"
+    if np.any(np.abs(deltas - dt) > RATE_TOLERANCE * dt):
+        return dt, "sample spacing varies by more than 1 ppm"
+    return dt, None
 
 
 def parse_trace_csv(path):
@@ -331,31 +507,30 @@ def parse_trace_csv(path):
     agree with it within one part per million. Schema violations, including
     non-finite times, raise ParseError naming the offending line.
     """
-    with open(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError("empty file", line=1)
-        if header.strip() != TRACE_HEADER:
-            raise ParseError(f"expected header {TRACE_HEADER!r}", line=1)
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is reported below, not warned about.
-                warnings.simplefilter("ignore", UserWarning)
-                rows = np.loadtxt(fh, dtype=_ROW_DTYPE, delimiter=",",
-                                  comments=None, ndmin=1)
-        except ValueError:
-            rows = None
-    if rows is None or not _rows_valid(rows):
-        rows = _scan_rows(path)
-    if rows.shape[0] == 0:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    end = data.find(b"\n")
+    if end < 0:
+        end = len(data)
+    columns = None
+    if data[:end] == TRACE_HEADER.encode():
+        columns = _fixed_columns(data, end + 1)
+    else:
+        _check_header(data)
+    if columns is None or not _rows_valid(*columns):
+        columns = _scan_rows(data)
+    del data
+    t, fiber, aa, wl = columns
+    if t.shape[0] == 0:
         raise ParseError("file holds no samples", line=2)
 
     # One stable sort by (fiber, area) keeps each series in time order.
-    code = (rows["fiber"] * len(AREAS) + rows["aa"]).astype(np.uint8)
+    code = (fiber * len(AREAS) + aa).astype(np.uint8)
     order = np.argsort(code, kind="stable")
     counts = np.bincount(code, minlength=len(FIBERS) * len(AREAS))
     ends = np.cumsum(counts)
-    times, wavelengths = rows["time_s"][order], rows["wavelength_nm"][order]
+    times, wavelengths = t[order], wl[order]
+    del columns, t, fiber, aa, wl, order  # free the columns before the traces
     traces = []
     for fiber in FIBERS:
         codes = [fiber * len(AREAS) + aa for aa in AREAS]
@@ -372,13 +547,9 @@ def parse_trace_csv(path):
                     f"fiber {fiber} area {aa} does not share the sample instants "
                     "of the other areas")
         if n > 1:
-            deltas = np.diff(times0)
-            dt = float(np.median(deltas))
-            if dt <= 0:
-                raise ParseError(f"fiber {fiber} repeats sample instants")
-            if np.any(np.abs(deltas - dt) > RATE_TOLERANCE * dt):
-                raise ParseError(
-                    f"fiber {fiber} sample spacing varies by more than 1 ppm")
+            dt, problem = _spacing(times0)
+            if problem:
+                raise ParseError(f"fiber {fiber} {problem}")
             rate = 1.0 / dt
         else:
             rate = FALLBACK_SAMPLE_RATE_HZ
@@ -435,4 +606,6 @@ def parse_config(path):
                 config[key] = CONFIG_KEYS[key](value)
             except ValueError:
                 raise ParseError(f"bad value for {key}: {value!r}", line=lineno) from None
+            if isinstance(config[key], float) and not math.isfinite(config[key]):
+                raise ParseError(f"{key} must be finite, got {value!r}", line=lineno)
     return config

@@ -52,9 +52,13 @@ def default_calibration(n_areas=3):
 
 
 def wavelength_to_curvature(wavelengths_nm, calibration):
-    """Curvature (1/m) per active area from measured wavelengths (nm)."""
+    """Curvature (1/m) per active area from measured wavelengths (nm).
+
+    The last axis holds one wavelength per area: ``(areas,)`` for one
+    instant, ``(n_samples, areas)`` for a record.
+    """
     wl = np.asarray(wavelengths_nm, dtype=float)
-    if wl.shape != (calibration.n_areas,):
+    if wl.ndim == 0 or wl.shape[-1] != calibration.n_areas:
         raise DataError(f"expected {calibration.n_areas} wavelengths, got {wl.shape}")
     if np.any(wl < BAND_NM[0]) or np.any(wl > BAND_NM[1]):
         raise DataError(f"wavelength outside the interrogator band {BAND_NM} nm")

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbgvib import WavelengthTrace, filtering, spectral
+from fbgvib import WavelengthTrace, filtering, shape, spectral
 from fbgvib.cli import build_parser, main
-from fbgvib.dataio import parse_trace_csv, write_trace_csv
+from fbgvib.dataio import parse_trace_csv, tips_csv_text, write_trace_csv
 
 
 def run(capsys, *argv):
@@ -97,6 +97,23 @@ def test_shape_outputs_polyline_and_tips(tmp_path, capsys):
     tip_lines = tips.read_text().strip().splitlines()
     assert tip_lines[0] == "time_s,tip_x_mm,tip_z_mm"
     assert len(tip_lines) == 2001
+
+
+def test_shape_tips_are_the_curvature_of_every_sample(tmp_path, capsys):
+    trace_path, tips = tmp_path / "t.csv", tmp_path / "tips.csv"
+    status, _, _ = run(capsys, "simulate", "--rpm", "120", "--duration", "3", "--bend",
+                       "pull=1.5,release=1.5", "--out", str(trace_path))
+    assert status == 0
+    status, _, _ = run(capsys, "shape", str(trace_path), "--out",
+                       str(tmp_path / "poly.csv"), "--out-tips", str(tips))
+    assert status == 0
+    trace, = parse_trace_csv(trace_path)
+    calibration = shape.default_calibration()
+    kappas = ((trace.channels - np.array(calibration.base_wavelengths_nm))
+              / np.array(calibration.sensitivities_nm_per_invm))
+    expected = tips_csv_text(trace.times(),
+                             shape.tips_for_curvatures(kappas, shape.CmGeometry()))
+    assert tips.read_text() == expected
 
 
 def test_detect_counts_events(tmp_path, capsys):
@@ -275,6 +292,29 @@ def test_simulate_never_writes_a_trace_the_reader_rejects(tmp_path, capsys, flag
     assert status == 2
     assert len(err.splitlines()) == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("rate", ["3", "7", "1024"])
+def test_simulate_refuses_a_rate_its_times_cannot_carry(tmp_path, capsys, rate):
+    target = tmp_path / "r.csv"
+    status, _, err = run(capsys, "simulate", "--rpm", "10", "--sample-rate", rate,
+                         "--duration", "20", "--out", str(target))
+    assert status == 2
+    assert len(err.splitlines()) == 1 and "6 decimals" in err
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("line", ["min_prominence_nm = nan", "shape_cutoff_hz = inf",
+                                  "max_freq_hz = -inf"])
+def test_non_finite_config_value_is_usage_error(tmp_path, capsys, line):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "240", "--duration", "10", "--out", str(trace))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    status, out, err = run(capsys, "analyze", str(trace), "--rpm-hint", "240",
+                           "--config", str(cfg))
+    assert status == 2
+    assert out == "" and len(err.splitlines()) == 1 and "line 1" in err
 
 
 def test_config_restating_the_default_model_changes_nothing(tmp_path, capsys):

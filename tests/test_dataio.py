@@ -1,9 +1,11 @@
+import os
+
 import numpy as np
 import pytest
 
-from fbgvib import ParameterError, ParseError, Scenario, WavelengthTrace, simulate
-from fbgvib.dataio import (parse_config, parse_trace_csv, trace_csv_text,
-                           write_trace_csv)
+from fbgvib import ParameterError, ParseError, Scenario, WavelengthTrace, dataio, simulate
+from fbgvib.dataio import (CONFIG_KEYS, atomic_write_text, parse_config, parse_trace_csv,
+                           trace_csv_text, write_trace_csv)
 
 
 def test_minimal_single_instant_file(tmp_path):
@@ -146,6 +148,15 @@ def test_unknown_config_key_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", sorted(k for k, kind in CONFIG_KEYS.items() if kind is float))
+def test_non_finite_config_value_names_its_line(tmp_path, key, value):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"# comment\n{key} = {value}\n")
+    with pytest.raises(ParseError, match=f"line 2: {key} must be finite"):
+        parse_config(path)
+
+
 def test_malformed_config_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("duration_s 10\n")
@@ -172,3 +183,60 @@ def test_writer_rejects_what_the_reader_rejects(tmp_path, change):
     with pytest.raises(ParameterError):
         write_trace_csv(path, WavelengthTrace(**fields))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rate,t0,n,problem", [
+    (3.0, 0.0, 40, "fail the reader's check"), (7.0, 0.0, 40, "fail the reader's check"),
+    (1024.0, 0.0, 40, "fail the reader's check"), (0.3, 0.0, 40, "read back as other times"),
+    (1000.0, -4e-7, 40, "read back as other times"),
+    (1000.0, -4e-7, 1, "read back as other times"),
+])
+def test_writer_refuses_times_that_do_not_read_back(tmp_path, rate, t0, n, problem):
+    # Six-decimal times: 3 Hz prints 0.333333 then 0.333334 s steps (3 ppm
+    # apart); 0.3 Hz passes the 1 ppm rule but reads back at 1/3.333333 Hz;
+    # a start of -0.000000 reads back as -0.0, and -0.0 + 0.0 prints 0.000000.
+    trace = WavelengthTrace(rate, np.full((n, 1), 1535.3), t0=t0, labels=((0, 0),))
+    path = tmp_path / "t.csv"
+    with pytest.raises(ParameterError, match=problem):
+        write_trace_csv(path, trace)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rate", [250.0, 1000.0])
+def test_whole_microsecond_periods_write_as_before(tmp_path, rate):
+    rng = np.random.default_rng(int(rate))
+    channels = 1535.3 + rng.normal(0.0, 0.1, (3000, 3))
+    trace = WavelengthTrace(rate, channels, t0=8.0)
+    expected = ["time_s,fiber,aa,wavelength_nm"] + [
+        f"{t:.6f},0,{aa},{w:.9f}" for t, row in zip(trace.times(), channels)
+        for aa, w in enumerate(row)]
+    assert trace_csv_text(trace) == "\n".join(expected) + "\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("bad", [False, True])
+def test_a_trace_from_a_pipe_is_read_once(bad):
+    # A pipe holds its bytes once: the line walk works on what was read.
+    text = ("time_s,fiber,aa,wavelength_nm\n0.000000,0,0,1535.300000000\n"
+            f"0.001000,0,0,{'15x5.3' if bad else '1535.300000000'}\n")
+    read, write = os.pipe()
+    try:
+        os.write(write, text.encode())
+        os.close(write)
+        if bad:
+            with pytest.raises(ParseError, match="line 3: malformed row"):
+                parse_trace_csv(f"/dev/fd/{read}")
+        else:
+            assert parse_trace_csv(f"/dev/fd/{read}")[0].n_samples == 2
+    finally:
+        os.close(read)
+
+
+@pytest.mark.parametrize("slice_chars", [1, 7, 1 << 20])
+def test_atomic_write_in_slices_keeps_every_byte(tmp_path, monkeypatch, slice_chars):
+    monkeypatch.setattr(dataio, "_WRITE_CHARS", slice_chars)
+    text = "".join(f"{i},{i * 0.5:.3f}\n" for i in range(500))
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, text)
+    assert path.read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

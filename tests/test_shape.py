@@ -30,6 +30,24 @@ def test_out_of_band_wavelength_rejected():
         wavelength_to_curvature([1490.0, 1535.3, 1535.3], default_calibration())
 
 
+def test_record_converts_like_each_instant():
+    calib = CalibrationModel((1531.0, 1535.3, 1540.2), (13.0, -11.5, 9.25))
+    wl = np.random.default_rng(3).uniform(1520.0, 1550.0, (50, 3))
+    kappa = wavelength_to_curvature(wl, calib)
+    assert kappa.shape == (50, 3)
+    rows = np.array([wavelength_to_curvature(row, calib) for row in wl])
+    assert kappa.tobytes() == rows.tobytes()
+
+
+@pytest.mark.parametrize("wavelengths", [
+    np.full((4, 2), 1535.3), np.full(3 * 4, 1535.3), np.float64(1535.3),
+    np.array([[1535.3] * 3, [1535.3, 1591.0, 1535.3]]),
+])
+def test_record_with_wrong_areas_or_band_rejected(wavelengths):
+    with pytest.raises(DataError):
+        wavelength_to_curvature(wavelengths, default_calibration())
+
+
 def test_zero_sensitivity_rejected():
     with pytest.raises(ParameterError):
         CalibrationModel((1535.3,), (0.0,))

@@ -10,9 +10,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fbgvib import ParseError, WavelengthTrace, dataio
-from fbgvib.dataio import (CHUNK_ROWS, csv_text, parse_trace_csv, tips_csv_text,
-                           trace_csv_text)
+from fbgvib import ParameterError, ParseError, WavelengthTrace, dataio
+from fbgvib.dataio import (CHUNK_ROWS, TRACE_HEADER, csv_text, parse_trace_csv,
+                           tips_csv_text, trace_csv_text, write_trace_csv)
 from fbgvib.shape import BAND_NM
 from fbgvib.spectral import spectrum_rows
 
@@ -45,12 +45,13 @@ def trace_sets(draw):
 
 
 def outcome(parse, path):
-    """What a parser makes of a file: its traces, or its error and line."""
+    """What a parser makes of a file: its traces (every float by its bits),
+    or its error and line."""
     try:
         traces = parse(path)
     except ParseError as exc:
         return ("error", exc.line, str(exc))
-    return ("ok", [(t.sample_rate_hz, t.t0, t.labels, t.channels.tolist())
+    return ("ok", [(t.sample_rate_hz.hex(), t.t0.hex(), t.labels, t.channels.tobytes())
                    for t in traces])
 
 
@@ -90,6 +91,178 @@ CORRUPTIONS = {
     "nan wavelength": _set(3, "nan"),
     "inf wavelength": _set(3, "inf"),
 }
+
+
+# Periods of whole microseconds, and periods that are not (3 Hz, 7 Hz and
+# 1024 Hz below 1 s; 0.3 Hz above): the writer must refuse what would not
+# read back to the same text.
+ROUND_TRIP_RATES_HZ = RATES_HZ + (3.0, 7.0, 1024.0, 3000.0, 0.3, 0.7)
+
+
+@st.composite
+def written_traces(draw):
+    """Trace sets over the writer's whole input space: any rate, starts
+    that put the time field's 10 s width change inside short records,
+    negative starts, and wavelengths at the band edges."""
+    rate = draw(st.sampled_from(ROUND_TRIP_RATES_HZ) | st.floats(0.2, 5000.0))
+    n = draw(st.integers(1, 40))
+    t0 = draw(st.sampled_from([0.0, 10.0 - 3.0 / rate, -1.0 / rate, -4e-7, 99.99])
+              | st.integers(-10**6, 10**6).map(lambda k: k / 1000.0))
+    fibers = draw(st.sampled_from([(0,), (1,), (0, 1)]))
+    wavelength = st.sampled_from(BAND_NM) | st.floats(BAND_NM[0], BAND_NM[1])
+    traces = []
+    for fiber in fibers:
+        areas = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=1, max_size=3,
+                              unique=True).map(sorted))
+        channels = draw(arrays(float, (n, len(areas)), elements=wavelength))
+        traces.append(WavelengthTrace(rate, channels, t0=t0,
+                                      labels=tuple((fiber, aa) for aa in areas)))
+    return traces
+
+
+@settings(FILE_SETTINGS, max_examples=150)
+@given(traces=written_traces())
+def test_what_the_writer_accepts_reads_back_to_the_same_bytes(tmp_path, traces):
+    path = tmp_path / "t.csv"
+    try:
+        text = trace_csv_text(traces)
+    except ParameterError:
+        # Refused: the same text, written without the check, does not
+        # read back to itself.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_reread_problem", lambda times: None)
+            path.write_text(trace_csv_text(traces))
+        try:
+            again = trace_csv_text(parse_trace_csv(path))
+        except (ParseError, ParameterError):
+            return
+        assert again != path.read_text()
+        return
+    path.write_text(text)
+    assert trace_csv_text(parse_trace_csv(path)) == text
+
+
+@FILE_SETTINGS
+@given(traces=trace_sets())
+def test_writer_output_never_takes_the_line_walk(tmp_path, traces, monkeypatch):
+    def line_walk(path):
+        raise AssertionError("the writer's layout reached _scan_rows")
+    monkeypatch.setattr(dataio, "_scan_rows", line_walk)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, traces)
+    assert trace_csv_text(parse_trace_csv(path)) == path.read_text()
+
+
+def _time_texts(t):
+    """Ways a time can be written that float() reads (or, for nan, refuses)."""
+    return st.sampled_from([f"{t:.6f}", repr(t), f"{t:+.6f}", f"{t:e}", f"{t:.17g}",
+                            f"000{t:.6f}" if t >= 0 else f"-000{-t:.6f}",
+                            f" {t:.6f}", f"{t:.6f} ", "nan"])
+
+
+def _label_texts(v):
+    return st.sampled_from([str(v), f"{v}.0", f"-{v}" if v == 0 else str(v), f"0{v}",
+                            f" {v}", f"+{v}"])
+
+
+def _wavelength_texts(w):
+    return st.sampled_from([f"{w:.9f}", f"{w:.17g}", f"{w:.16g}", repr(w), f"{w:E}",
+                            f"{w:.13f}", f"{w:.15f}", f"  {w:.9f}", f"+{w:.9f}"])
+
+
+@st.composite
+def layout_files(draw):
+    """A trace file's text in the writer's layout or one of its neighbours.
+
+    Half the files are in the writer's layout with at most one field of one
+    row written another way; the rest draw each field's layout per file and
+    vary a row's field one time in ten. Times can cross 10 s and 100 s, be
+    negative or print as -0.000000; some files end in CRLF, lack the final
+    newline or hold a blank line.
+    """
+    rate = draw(st.sampled_from([1.0, 250.0, 1000.0]))
+    t0 = draw(st.sampled_from([0.0, -4e-7, -0.002, 10.0 - 2.0 / rate,
+                               100.0 - 2.0 / rate, 9.999]))
+    n = draw(st.integers(1, 8))
+    labels = draw(st.lists(st.sampled_from([(0, 0), (0, 1), (1, 2), (1, 0)]),
+                           min_size=1, max_size=3, unique=True).map(sorted))
+    rows = [(t0 + i / rate, f, aa, draw(st.sampled_from(BAND_NM)
+                                         | st.floats(BAND_NM[0], BAND_NM[1])))
+            for i in range(n) for f, aa in labels]
+    plain = ("{:.6f}".format, str, str, "{:.9f}".format)
+    others = (_time_texts, _label_texts, _label_texts, _wavelength_texts)
+    if draw(st.booleans()):
+        layouts = list(plain)
+        odd = {(draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3)))}
+        odd = odd if draw(st.booleans()) else set()
+    else:
+        layouts = [fmt if draw(st.booleans()) else None for fmt in plain]
+        odd = {(r, k) for r in range(len(rows)) for k in range(4)
+               if draw(st.integers(0, 9)) == 0}
+    lines = [",".join(draw(other(value)) if (r, k) in odd or layout is None
+                      else layout(value)
+                      for k, (value, layout, other) in enumerate(zip(row, layouts, others)))
+             for r, row in enumerate(rows)]
+    if draw(st.integers(0, 3)) == 0:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", " "])))
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    text = end.join([TRACE_HEADER] + lines)
+    return text + ("" if draw(st.integers(0, 4)) == 0 else end)
+
+
+@settings(FILE_SETTINGS, max_examples=300)
+@given(text=layout_files())
+def test_every_layout_parses_like_the_oracle(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    assert outcome(parse_trace_csv, path) == outcome(line_walk_parse_trace_csv, path)
+
+
+def _lines(*rows, end="\n", last=True):
+    return end.join((TRACE_HEADER,) + rows) + (end if last else "")
+
+
+NAMED_LAYOUTS = {
+    "writer, time past 10 s and 100 s": _lines(
+        "9.999000,0,0,1535.300000000", "9.999000,0,1,1590.000000000",
+        "10.000000,0,0,1535.300000001", "10.000000,0,1,1510.000000000",
+        "99.999000,0,0,1535.300000002", "99.999000,0,1,1510.000000000",
+        "100.000000,0,0,1535.300000003", "100.000000,0,1,1510.000000000"),
+    "negative times": _lines("-0.002000,1,2,1535.3", "-0.001000,1,2,1535.4",
+                             "-0.000000,1,2,1535.5", "0.001000,1,2,1535.6"),
+    "-0.000000 alone": _lines("-0.000000,0,0,1535.300000000"),
+    "one row": _lines("12.345678,1,1,1589.999999999"),
+    "leading zeros": _lines("0.000000,0,0,001535.300000000",
+                            "00.001000,0,0,1535.300000000"),
+    "plus signs": _lines("+0.000000,0,0,1535.3", "0.001000,0,0,+1535.3"),
+    "exponents": _lines("0.000000,0,0,1.5353e3", "1e-3,0,0,1535.3"),
+    "nan wavelength": _lines("0.000000,0,0,nan", "0.001000,0,0,1535.3"),
+    "nan time": _lines("nan,0,0,1535.3"),
+    "padding spaces": _lines("0.000000, 0,0,1535.3 ", " 0.001000,0,0,1535.3"),
+    "crlf": _lines("0.000000,0,0,1535.3", "0.001000,0,0,1535.4", end="\r\n"),
+    "no final newline": _lines("0.000000,0,0,1535.3", "0.001000,0,0,1535.4",
+                               last=False),
+    "blank lines": _lines("0.000000,0,0,1535.3", "", "0.001000,0,0,1535.4", "  "),
+    "label 1.0": _lines("0.000000,1.0,0,1535.3"),
+    "label -0": _lines("0.000000,-0,0,1535.3", "0.001000,0,-0,1535.3"),
+    "label 01": _lines("0.000000,01,02,1535.3", "0.001000,01,02,1535.3"),
+    "16-digit mantissa": _lines("0.000000,0,0,1576.280060726923",
+                                "0.001000,0,0,1520.139864215034"),
+    "17-digit mantissa": _lines("0.000000,0,0,1547.5790189238428",
+                                "0.001000,0,0,1530.4650087858347"),
+    "17-digit time": _lines("0.0000000000000001,0,0,1535.3",
+                            "1.0000000000000001,0,0,1535.3"),
+    "15-digit fields": _lines("0.00000000000000,0,0,1535.30000000001",
+                              "0.00100000000000,0,0,1535.30000000002"),
+    "sign in a digit column": _lines("10.000000,0,0,1535.3", "-1.000000,0,0,1535.3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_LAYOUTS))
+def test_named_layouts_parse_like_the_oracle(tmp_path, name):
+    path = tmp_path / "t.csv"
+    path.write_bytes(NAMED_LAYOUTS[name].encode())
+    assert outcome(parse_trace_csv, path) == outcome(line_walk_parse_trace_csv, path)
 
 
 @FILE_SETTINGS
@@ -224,3 +397,30 @@ def test_other_templates_format_like_str_format(template):
     expected = "".join(["h\n"] + [template.format(*row) for row in
                                   zip(*(c.tolist() for c in columns))])
     assert csv_text("h", template, columns) == expected
+
+
+@pytest.mark.parametrize("byte", [None, "/", ":", "-", "x", " "])
+def test_every_block_of_a_long_file_is_checked(tmp_path, byte):
+    # 12000 lines in runs of two widths (the time passes 10 s) and many
+    # read blocks; the last wavelength digit of a late line is changed, so
+    # a block left unchecked would read a wrong value within the band.
+    rng = np.random.default_rng(5)
+    trace = WavelengthTrace(50.0, rng.uniform(1520.0, 1560.0, (4000, 3)), t0=9.0)
+    text = trace_csv_text(trace)
+    if byte is not None:
+        at = text.rindex("\n", 0, len(text) - 1000) - 1
+        text = text[:at] + byte + text[at + 1:]
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    expected = outcome(line_walk_parse_trace_csv, path)
+    assert expected[0] == ("error" if byte in ("/", ":", "-", "x") else "ok")
+    assert outcome(parse_trace_csv, path) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(values=st.lists(st.floats(-1e300, 1e300)
+                       | st.sampled_from([1e-3, 0.001000000001, 0.0, -0.0]),
+                       min_size=1, max_size=60))
+def test_median_is_numpys(values):
+    x = np.array(values)
+    assert dataio._median(x).hex() == float(np.median(x)).hex()
