@@ -37,10 +37,18 @@ def _finite_float(text):
     return value
 
 
-def _parse_bend(text):
-    """Build a BendProfile from 'pull=60,release=60,cable_speed=0.1,...'."""
+#: --bend entry -> BendProfile keyword; the config keys among the keywords
+#: set the entries' defaults.
+_BEND_ENTRIES = {"cable_speed": "cable_speed_mm_s", "curvature_gain": "curvature_gain",
+                 "slack_scale": "slack_amplitude_scale",
+                 "slack_threshold": "slack_threshold_mm"}
+
+
+def _parse_bend(text, defaults):
+    """Build a BendProfile from 'pull=60,release=60,cable_speed=0.1,...',
+    over ``defaults`` (BendProfile keywords)."""
     segments = []
-    kwargs = {}
+    kwargs = dict(defaults)
     for item in text.split(","):
         if not item.strip():
             continue
@@ -55,14 +63,8 @@ def _parse_bend(text):
             raise ParameterError(f"--bend value for {key!r} must be finite, got {value!r}")
         if key in vib_model.BEND_PHASES:
             segments.append((key, val))
-        elif key == "cable_speed":
-            kwargs["cable_speed_mm_s"] = val
-        elif key == "curvature_gain":
-            kwargs["curvature_gain"] = val
-        elif key == "slack_scale":
-            kwargs["slack_amplitude_scale"] = val
-        elif key == "slack_threshold":
-            kwargs["slack_threshold_mm"] = val
+        elif key in _BEND_ENTRIES:
+            kwargs[_BEND_ENTRIES[key]] = val
         else:
             raise ParameterError(f"unknown --bend key {key!r}")
     if segments:
@@ -70,53 +72,19 @@ def _parse_bend(text):
     return vib_model.BendProfile(**kwargs)
 
 
-def _load_config(args):
-    if getattr(args, "config", None):
-        return dataio.parse_config(args.config)
-    return {}
-
-
-def _pick(flag_value, config, key, default):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _params_from_config(config):
-    keys = ("natural_f1_hz", "natural_f2_hz", "mass_ratio", "damping_ratio")
-    return vib_model.default_params(**{k: config[k] for k in keys if k in config})
-
-
-def _scenario_from_args(args, config):
-    rpm = _pick(args.rpm, config, "tool_velocity_rpm", None)
-    bend = _parse_bend(args.bend) if args.bend else None
-    if args.preset:
-        return vib_model.preset_scenario(
-            args.preset,
-            duration_s=_pick(args.duration, config, "duration_s", 10.0),
-            sample_rate_hz=_pick(args.sample_rate, config, "sample_rate_hz", 1000.0),
-            bend=bend,
-            noise_sigma_nm=_pick(args.noise, config, "noise_sigma_nm", 0.002),
-            base_wavelength_nm=_pick(args.base, config, "base_wavelength_nm", 1535.3))
-    if rpm is None:
-        raise ParameterError("simulate requires --rpm or --preset")
-    return vib_model.Scenario(
-        rpm=rpm,
-        duration_s=_pick(args.duration, config, "duration_s", 10.0),
-        sample_rate_hz=_pick(args.sample_rate, config, "sample_rate_hz", 1000.0),
-        bend=bend,
-        noise_sigma_nm=_pick(args.noise, config, "noise_sigma_nm", 0.002),
-        base_wavelength_nm=_pick(args.base, config, "base_wavelength_nm", 1535.3))
-
-
 def _cmd_simulate(args):
-    config = _load_config(args)
-    scenario = _scenario_from_args(args, config)
-    params = _params_from_config(config)
-    seed = _pick(args.seed, config, "seed", 0)
-    trace = vib_model.simulate(scenario, params, seed=seed)
+    bend = _parse_bend(args.bend, args.bend_defaults) if args.bend else None
+    settings = dict(duration_s=args.duration_s, sample_rate_hz=args.sample_rate_hz,
+                    bend=bend, noise_sigma_nm=args.noise_sigma_nm,
+                    base_wavelength_nm=args.base_wavelength_nm)
+    if args.preset:
+        scenario = vib_model.preset_scenario(args.preset, **settings)
+    elif args.tool_velocity_rpm is None:
+        raise ParameterError("simulate requires --rpm or --preset")
+    else:
+        scenario = vib_model.Scenario(rpm=args.tool_velocity_rpm, **settings)
+    trace = vib_model.simulate(scenario, vib_model.default_params(**args.model),
+                               seed=args.seed)
     dataio.write_trace_csv(args.out, trace)
     print(f"wrote {trace.n_samples} samples x {len(trace.labels)} areas to {args.out}")
     return 0
@@ -131,20 +99,14 @@ def _single_fiber(path, fiber):
 
 
 def _cmd_analyze(args):
-    config = _load_config(args)
     trace = _single_fiber(args.trace, args.fiber)
     channel = trace.channel(args.aa)
     freqs, mags = spectral.magnitude_spectrum(
         channel - channel.mean(), trace.sample_rate_hz, window=args.window)
     features = spectral.features_from_spectrum(
         freqs, mags,
-        rpm_hint=args.rpm_hint,
-        shape_cutoff_hz=_pick(None, config, "shape_cutoff_hz",
-                              spectral.DEFAULT_SHAPE_CUTOFF_HZ),
-        min_prominence=_pick(args.prominence, config, "min_prominence_nm",
-                             spectral.DEFAULT_MIN_PROMINENCE_NM),
-        max_freq_hz=_pick(args.max_freq, config, "max_freq_hz",
-                          spectral.DEFAULT_MAX_FREQ_HZ))
+        rpm_hint=args.rpm_hint, shape_cutoff_hz=args.shape_cutoff_hz,
+        min_prominence=args.min_prominence_nm, max_freq_hz=args.max_freq_hz)
     if args.out:
         dataio.atomic_write_text(args.out, spectral.spectrum_rows(freqs, mags))
 
@@ -160,23 +122,16 @@ def _cmd_analyze(args):
 
 
 def _cmd_filter(args):
-    config = _load_config(args)
     traces = dataio.parse_trace_csv(args.trace)
-    fundamental = args.fundamental
-    if fundamental is None and args.rpm is not None:
-        fundamental = args.rpm / 60.0
-    if fundamental is None and "tool_velocity_rpm" in config:
-        fundamental = config["tool_velocity_rpm"] / 60.0
-    if fundamental is None:
+    if args.fundamental is None and args.tool_velocity_rpm is None:
         raise ParameterError("filter requires --fundamental or --rpm")
+    fundamental = (args.tool_velocity_rpm / 60.0 if args.fundamental is None
+                   else args.fundamental)
     filtered = []
     for trace in traces:
         spec = filtering.design_bandstop(
-            fundamental,
-            n_harmonics=_pick(args.notch_harmonics, config, "notch_harmonics",
-                              filtering.DEFAULT_N_HARMONICS),
-            bandwidth_hz=_pick(args.bandwidth, config, "bandwidth_hz", None),
-            sample_rate_hz=trace.sample_rate_hz)
+            fundamental, n_harmonics=args.notch_harmonics,
+            bandwidth_hz=args.bandwidth_hz, sample_rate_hz=trace.sample_rate_hz)
         channels = np.column_stack([
             filtering.apply_zero_phase(spec, trace.channel(i))
             for i in range(trace.channels.shape[1])])
@@ -192,10 +147,8 @@ def _cmd_filter(args):
 
 
 def _cmd_shape(args):
-    config = _load_config(args)
     trace = _single_fiber(args.trace, args.fiber)
-    calib_path = args.calibration or config.get("calibration_file")
-    calibration = (shape.load_calibration(calib_path) if calib_path
+    calibration = (shape.load_calibration(args.calibration_file) if args.calibration_file
                    else shape.default_calibration())
     length = args.length
     geometry = shape.CmGeometry(
@@ -220,24 +173,17 @@ def _cmd_shape(args):
 
 
 def _cmd_detect(args):
-    config = _load_config(args)
     trace = _single_fiber(args.trace, args.fiber)
     report = events.detect_steps(
-        trace.channel(args.aa),
-        threshold_nm=_pick(args.threshold, config, "threshold_nm",
-                           events.DEFAULT_THRESHOLD_NM),
-        drift_nm=_pick(args.drift, config, "drift_nm", events.DEFAULT_DRIFT_NM),
-        window_s=_pick(args.window, config, "window_s", events.DEFAULT_WINDOW_S),
-        sample_rate_hz=trace.sample_rate_hz,
-        t0=trace.t0)
+        trace.channel(args.aa), threshold_nm=args.threshold_nm, drift_nm=args.drift_nm,
+        window_s=args.window_s, sample_rate_hz=trace.sample_rate_hz, t0=trace.t0)
     dataio.atomic_write_text(args.out, events.events_csv_text(report))
     print(f"events={len(report.events)}")
     return 0
 
 
 def _cmd_sweep(args):
-    config = _load_config(args)
-    params = _params_from_config(config)
+    params = vib_model.default_params(**args.model)
     if args.from_dir:
         report = sweep.ingest_sweep_dir(args.from_dir, params)
     else:
@@ -250,12 +196,9 @@ def _cmd_sweep(args):
                 raise ParameterError("--rpm-min and --rpm-max go together")
             rpms = sweep.default_rpm_grid(args.rpm_min, args.rpm_max, args.points)
         template = vib_model.Scenario(
-            rpm=rpms[0],
-            duration_s=_pick(args.duration, config, "duration_s", 10.0),
-            sample_rate_hz=_pick(args.sample_rate, config, "sample_rate_hz", 1000.0),
-            noise_sigma_nm=_pick(args.noise, config, "noise_sigma_nm", 0.0))
-        report = sweep.run_sweep(rpms, template, params,
-                                 seed=_pick(args.seed, config, "seed", 0))
+            rpm=rpms[0], duration_s=args.duration_s, sample_rate_hz=args.sample_rate_hz,
+            noise_sigma_nm=args.noise_sigma_nm)
+        report = sweep.run_sweep(rpms, template, params, seed=args.seed)
     dataio.atomic_write_text(args.out, sweep.report_csv_text(report))
     text = sweep.summary_text(report)
     if args.summary:
@@ -264,26 +207,43 @@ def _cmd_sweep(args):
     return 0
 
 
-def build_parser():
+#: Config keys of the vibration model, which has no flags.
+MODEL_KEYS = ("natural_f1_hz", "natural_f2_hz", "mass_ratio", "damping_ratio")
+
+
+def build_parser(config=None):
+    """The CLI parser; each config entry is the default of the setting it names.
+
+    A flag with a config key stores into ``dest=<key>``, so a flag beats
+    the config, which beats the built-in default.
+    """
+    config = config or {}
+    model = {k: config[k] for k in MODEL_KEYS if k in config}
+    bend = {k: config[k] for k in _BEND_ENTRIES.values() if k in config}
+
+    def common(p):
+        p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--seed", type=int, default=config.get("seed", 0))
+
+    def setting(p, flag, key, default=None, type=_finite_float, **kwargs):
+        p.add_argument(flag, dest=key, type=type, default=config.get(key, default),
+                       **kwargs)
+
     parser = _Parser(prog="fbgvib",
                      description="FBG shape-sensing toolkit for rotating-tool vibration")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=None)
-
     p = sub.add_parser("simulate", help="generate a synthetic trace CSV")
     common(p)
-    p.add_argument("--rpm", type=_finite_float, default=None)
+    setting(p, "--rpm", "tool_velocity_rpm")
     p.add_argument("--preset", choices=sorted(vib_model.SCENARIO_PRESETS))
-    p.add_argument("--duration", type=_finite_float, default=None, help="seconds")
-    p.add_argument("--sample-rate", type=_finite_float, default=None, help="Hz")
-    p.add_argument("--noise", type=_finite_float, default=None, help="sigma, nm")
-    p.add_argument("--base", type=_finite_float, default=None, help="base wavelength, nm")
+    setting(p, "--duration", "duration_s", 10.0, help="seconds")
+    setting(p, "--sample-rate", "sample_rate_hz", 1000.0, help="Hz")
+    setting(p, "--noise", "noise_sigma_nm", 0.002, help="sigma, nm")
+    setting(p, "--base", "base_wavelength_nm", 1535.3, help="base wavelength, nm")
     p.add_argument("--bend", help="e.g. pull=60,release=60,cable_speed=0.1")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, model=model, bend_defaults=bend)
 
     p = sub.add_parser("analyze", help="spectrum and spectral features")
     common(p)
@@ -292,18 +252,20 @@ def build_parser():
     p.add_argument("--aa", type=int, default=0)
     p.add_argument("--window", choices=spectral.WINDOWS, default="hann")
     p.add_argument("--rpm-hint", type=_finite_float, default=None)
-    p.add_argument("--max-freq", type=_finite_float, default=None)
-    p.add_argument("--prominence", type=_finite_float, default=None)
+    setting(p, "--max-freq", "max_freq_hz", spectral.DEFAULT_MAX_FREQ_HZ)
+    setting(p, "--prominence", "min_prominence_nm", spectral.DEFAULT_MIN_PROMINENCE_NM)
     p.add_argument("--out", default=None, help="spectrum CSV path")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, shape_cutoff_hz=config.get(
+        "shape_cutoff_hz", spectral.DEFAULT_SHAPE_CUTOFF_HZ))
 
     p = sub.add_parser("filter", help="remove tool vibration with notches")
     common(p)
     p.add_argument("trace")
     p.add_argument("--fundamental", type=_finite_float, default=None, help="Hz")
-    p.add_argument("--rpm", type=_finite_float, default=None)
-    p.add_argument("--notch-harmonics", type=int, default=None)
-    p.add_argument("--bandwidth", type=_finite_float, default=None, help="Hz")
+    setting(p, "--rpm", "tool_velocity_rpm")
+    setting(p, "--notch-harmonics", "notch_harmonics", filtering.DEFAULT_N_HARMONICS,
+            type=int)
+    setting(p, "--bandwidth", "bandwidth_hz", help="Hz")
     p.add_argument("--save-spec", default=None, help="coefficient file path")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_filter)
@@ -312,7 +274,7 @@ def build_parser():
     common(p)
     p.add_argument("trace")
     p.add_argument("--fiber", type=int, default=0)
-    p.add_argument("--calibration", default=None, help="calibration CSV")
+    setting(p, "--calibration", "calibration_file", type=None, help="calibration CSV")
     p.add_argument("--length", type=_finite_float, default=35.0, help="mm")
     p.add_argument("--at-time", type=_finite_float, default=None, help="seconds")
     p.add_argument("--out", required=True, help="polyline CSV path")
@@ -324,9 +286,9 @@ def build_parser():
     p.add_argument("trace")
     p.add_argument("--fiber", type=int, default=0)
     p.add_argument("--aa", type=int, default=0)
-    p.add_argument("--threshold", type=_finite_float, default=None, help="nm")
-    p.add_argument("--drift", type=_finite_float, default=None, help="nm per window")
-    p.add_argument("--window", type=_finite_float, default=None, help="seconds")
+    setting(p, "--threshold", "threshold_nm", events.DEFAULT_THRESHOLD_NM, help="nm")
+    setting(p, "--drift", "drift_nm", events.DEFAULT_DRIFT_NM, help="nm per window")
+    setting(p, "--window", "window_s", events.DEFAULT_WINDOW_S, help="seconds")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_detect)
 
@@ -336,20 +298,23 @@ def build_parser():
     p.add_argument("--rpm-min", type=_finite_float, default=None)
     p.add_argument("--rpm-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=40)
-    p.add_argument("--duration", type=_finite_float, default=None)
-    p.add_argument("--sample-rate", type=_finite_float, default=None)
-    p.add_argument("--noise", type=_finite_float, default=None)
+    setting(p, "--duration", "duration_s", 10.0)
+    setting(p, "--sample-rate", "sample_rate_hz", 1000.0)
+    setting(p, "--noise", "noise_sigma_nm", 0.0)
     p.add_argument("--from-dir", default=None, help="ingest rpm_<value>.csv files")
     p.add_argument("--summary", default=None)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, model=model)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # Flags are checked before the config file is read; its entries
+        # then become the defaults of a second parse.
+        args = build_parser().parse_args(argv)
+        if args.config:
+            args = build_parser(dataio.parse_config(args.config)).parse_args(argv)
         return args.func(args)
     except (SensingError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,10 +19,12 @@ import tempfile
 import numpy as np
 
 from .errors import ParameterError, ParseError
-from .shape import BAND_NM
 from .vib_model import WavelengthTrace
 
 TRACE_HEADER = "time_s,fiber,aa,wavelength_nm"
+
+#: Interrogator wavelength band (nm).
+BAND_NM = (1510.0, 1590.0)
 
 #: Assumed rate for single-instant files, where no spacing is observable.
 FALLBACK_SAMPLE_RATE_HZ = 1000.0
@@ -585,7 +587,6 @@ CONFIG_KEYS = {
     "min_prominence_nm": float,
     "seed": int,
     "calibration_file": str,
-    "output_dir": str,
 }
 
 

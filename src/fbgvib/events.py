@@ -114,6 +114,7 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
 
 
 def events_csv_text(report):
+    # Not dataio.csv_text: its columns are numbers, and direction is text.
     lines = ["time_s,magnitude_nm,direction"]
     for e in report.events:
         lines.append(f"{e.time_s:.6f},{e.magnitude_nm:.9f},{e.direction}")

@@ -47,8 +47,7 @@ class BiquadSection:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.b0, self.b1, self.b2, self.a1, self.a2)):
             raise ParameterError("section coefficients must be finite")
-        poles = np.roots([1.0, self.a1, self.a2])
-        if poles.size and np.max(np.abs(poles)) >= 1.0:
+        if self.pole_radius() >= 1.0:
             raise ParameterError("unstable section: poles must lie inside the unit circle")
 
     def pole_radius(self):

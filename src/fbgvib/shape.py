@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataio import BAND_NM, csv_text
 from .errors import DataError, ParameterError, ParseError
-
-#: Interrogator wavelength band (nm).
-BAND_NM = (1510.0, 1590.0)
 
 DEFAULT_SENSITIVITY_NM_PER_INVM = 13.0
 DEFAULT_BASE_NM = 1535.3
@@ -130,17 +128,11 @@ def reconstruct(curvatures_inv_m, geometry=CmGeometry(), polyline_step_mm=0.1):
     seg_lengths = geometry.segment_lengths_mm()
     if kappa.shape != (len(seg_lengths),):
         raise DataError(f"expected {len(seg_lengths)} curvature values, got {kappa.shape}")
-    kappa_inv_mm = kappa / 1000.0
-
-    # Tip from one exact arc step per segment.
-    x = z = theta = 0.0
-    for k, ell in zip(kappa_inv_mm, seg_lengths):
-        x, z, theta = _arc_step(x, z, theta, k, ell)
-    tip = (float(x), float(z))
+    tip = tuple(float(v) for v in tips_for_curvatures(kappa[None], geometry)[0])
 
     rows = [(0.0, 0.0, 0.0)]
     s = x = z = theta = 0.0
-    for k, ell in zip(kappa_inv_mm, seg_lengths):
+    for k, ell in zip(kappa / 1000.0, seg_lengths):
         n_steps = max(1, int(np.ceil(ell / polyline_step_mm)))
         ds = ell / n_steps
         for _ in range(n_steps):
@@ -190,18 +182,14 @@ def fit_calibration(samples):
 
 
 def shape_csv_text(estimate):
-    lines = ["s_mm,x_mm,z_mm"]
-    for s, x, z in estimate.centerline_mm:
-        lines.append(f"{s:.6f},{x:.9f},{z:.9f}")
-    return "\n".join(lines) + "\n"
+    return csv_text("s_mm,x_mm,z_mm", "{:.6f},{:.9f},{:.9f}\n", estimate.centerline_mm.T)
 
 
 def calibration_csv_text(model):
-    lines = ["aa_index,base_wavelength_nm,sensitivity_nm_per_invm"]
-    for i, (b, s) in enumerate(zip(model.base_wavelengths_nm,
-                                   model.sensitivities_nm_per_invm)):
-        lines.append(f"{i},{b:.9f},{s:.9f}")
-    return "\n".join(lines) + "\n"
+    return csv_text("aa_index,base_wavelength_nm,sensitivity_nm_per_invm",
+                    "{:.0f},{:.9f},{:.9f}\n",
+                    (range(model.n_areas), model.base_wavelengths_nm,
+                     model.sensitivities_nm_per_invm))
 
 
 def load_calibration(path):

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import csv_text, parse_trace_csv
 from .errors import DataError, ParameterError
 from .filtering import apply_zero_phase, design_lowpass, transient_samples
 from .spectral import peak_prominences
@@ -190,8 +191,6 @@ _RPM_FILE = re.compile(r"rpm_([0-9]+(?:\.[0-9]+)?)\.csv$")
 
 def ingest_sweep_dir(directory, params, discard_fraction=DEFAULT_DISCARD_FRACTION):
     """Build a report from a directory of per-rate trace CSVs (rpm_<value>.csv)."""
-    from .dataio import parse_trace_csv
-
     directory = Path(directory)
     entries = []
     for path in sorted(directory.iterdir()):
@@ -212,10 +211,8 @@ def ingest_sweep_dir(directory, params, discard_fraction=DEFAULT_DISCARD_FRACTIO
 
 
 def report_csv_text(report):
-    lines = ["rpm,amplitude_nm"]
-    for rpm, amp in report.points:
-        lines.append(f"{rpm:.6f},{amp:.9f}")
-    return "\n".join(lines) + "\n"
+    return csv_text("rpm,amplitude_nm", "{:.6f},{:.9f}\n",
+                    np.reshape(report.points, (-1, 2)).T)
 
 
 def summary_text(report):

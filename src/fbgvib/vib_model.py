@@ -56,15 +56,6 @@ class TwoDofParams:
         if not np.isfinite(f1) or not np.isfinite(f2) or (f2 - f1) <= 1e-9 * f2:
             raise ParameterError("undamped natural frequencies must be real and distinct")
 
-    def mass_matrix(self):
-        return np.diag([self.m1, self.m2])
-
-    def stiffness_matrix(self):
-        return np.array([[self.k1 + self.k2, -self.k2], [-self.k2, self.k2]])
-
-    def damping_matrix(self):
-        return np.diag([self.c1, self.c2])
-
     def natural_frequencies_hz(self):
         """Undamped natural frequencies, ascending (Hz)."""
         m1, m2 = self.m1, self.m2
@@ -341,6 +332,7 @@ def simulate(scenario, params, seed=0, sensitivities_nm_per_invm=None):
     multiples (scaled up while the cables are slack) + white noise.
     Deterministic for a fixed (scenario, params, seed).
     """
+    # Imported here: shape imports dataio, which imports this module.
     from .shape import DEFAULT_SENSITIVITY_NM_PER_INVM
 
     fs = scenario.sample_rate_hz

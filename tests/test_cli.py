@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbgvib import WavelengthTrace, filtering, shape, spectral
+from fbgvib import WavelengthTrace, events, filtering, shape, spectral
 from fbgvib.cli import build_parser, main
-from fbgvib.dataio import parse_trace_csv, tips_csv_text, write_trace_csv
+from fbgvib.dataio import CONFIG_KEYS, parse_trace_csv, tips_csv_text, write_trace_csv
 
 
 def run(capsys, *argv):
@@ -397,3 +397,142 @@ def test_filter_writes_spec_file_once(tmp_path, capsys, monkeypatch):
     assert status == 0 and "filtered 2 fiber(s)" in out
     assert saved == [str(specfile)]
     assert len(specfile.read_text().splitlines()) == 3
+
+
+MODEL_ROWS = [(None, "natural_f1_hz", None, 0.5, None),
+              (None, "natural_f2_hz", None, 12.0, None),
+              (None, "mass_ratio", None, 0.2, None),
+              (None, "damping_ratio", None, 0.08, None)]
+
+#: Per subcommand: the arguments it needs, then each config key it reads as
+#: (flag or None, key, flag text, config value, built-in default). A flag
+#: resolves to its text read as the config value's type.
+SETTINGS = {
+    "simulate": (["--out", "t.csv"], [
+        ("--rpm", "tool_velocity_rpm", "60", 240.0, None),
+        ("--duration", "duration_s", "3", 4.0, 10.0),
+        ("--sample-rate", "sample_rate_hz", "500", 250.0, 1000.0),
+        ("--noise", "noise_sigma_nm", "0.001", 0.004, 0.002),
+        ("--base", "base_wavelength_nm", "1540", 1550.0, 1535.3),
+        *MODEL_ROWS,
+        (None, "cable_speed_mm_s", None, 0.5, None),
+        (None, "slack_amplitude_scale", None, 2.0, None),
+        (None, "slack_threshold_mm", None, 2.0, None)]),
+    "analyze": (["t.csv"], [
+        ("--max-freq", "max_freq_hz", "30", 20.0, spectral.DEFAULT_MAX_FREQ_HZ),
+        ("--prominence", "min_prominence_nm", "0.005", 0.02,
+         spectral.DEFAULT_MIN_PROMINENCE_NM),
+        (None, "shape_cutoff_hz", None, 0.2, spectral.DEFAULT_SHAPE_CUTOFF_HZ)]),
+    "filter": (["t.csv", "--out", "f.csv"], [
+        ("--rpm", "tool_velocity_rpm", "60", 240.0, None),
+        ("--notch-harmonics", "notch_harmonics", "2", 4, filtering.DEFAULT_N_HARMONICS),
+        ("--bandwidth", "bandwidth_hz", "0.3", 0.5, None)]),
+    "shape": (["t.csv", "--out", "p.csv"], [
+        ("--calibration", "calibration_file", "a.csv", "b.csv", None)]),
+    "detect": (["t.csv", "--out", "e.csv"], [
+        ("--threshold", "threshold_nm", "0.3", 0.1, events.DEFAULT_THRESHOLD_NM),
+        ("--drift", "drift_nm", "0.03", 0.02, events.DEFAULT_DRIFT_NM),
+        ("--window", "window_s", "0.2", 0.4, events.DEFAULT_WINDOW_S)]),
+    "sweep": (["--out", "s.csv"], [
+        ("--duration", "duration_s", "3", 4.0, 10.0),
+        ("--sample-rate", "sample_rate_hz", "500", 250.0, 1000.0),
+        ("--noise", "noise_sigma_nm", "0.001", 0.004, 0.0),
+        *MODEL_ROWS]),
+}
+SEED_ROW = ("--seed", "seed", "3", 9, 0)
+SETTING_CASES = [(command, row) for command, (_, rows) in SETTINGS.items()
+                 for row in [*rows, SEED_ROW]]
+#: One value for every config key, from the table.
+SAMPLE_CONFIG = {key: value for _, (_, key, _, value, _) in SETTING_CASES}
+
+
+def resolved(command, config=None, *flags):
+    """Every setting of one parse, the model and bend keys included."""
+    args = build_parser(config).parse_args([command, *SETTINGS[command][0], *flags])
+    return {**vars(args), **getattr(args, "model", {}),
+            **getattr(args, "bend_defaults", {})}
+
+
+@pytest.mark.parametrize("command,row", SETTING_CASES,
+                         ids=[f"{c}-{row[1]}" for c, row in SETTING_CASES])
+def test_flag_beats_config_beats_builtin_default(command, row):
+    flag, key, text, value, default = row
+    assert resolved(command).get(key) == default
+    assert resolved(command, {key: value})[key] == value
+    if flag:
+        assert resolved(command, {}, flag, text)[key] == type(value)(text)
+        assert resolved(command, {key: value}, flag, text)[key] == type(value)(text)
+
+
+def test_every_config_key_is_read_by_some_command():
+    assert sorted(SAMPLE_CONFIG) == sorted(CONFIG_KEYS)
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_a_command_reads_only_its_own_config_keys(command):
+    plain = resolved(command)
+    read = {key for key, value in SAMPLE_CONFIG.items()
+            if resolved(command, {key: value}) != plain}
+    assert read == {row[1] for row in [*SETTINGS[command][1], SEED_ROW]}
+    ignored = {key: value for key, value in SAMPLE_CONFIG.items() if key not in read}
+    assert resolved(command, ignored) == plain
+
+
+def test_a_bad_flag_is_reported_before_a_bad_config(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("tool_velocity_rpm 240\n")
+    status, _, err = run(capsys, "simulate", "--config", str(cfg), "--rpm", "nan",
+                         "--out", str(tmp_path / "t.csv"))
+    assert status == 2
+    assert err.splitlines() == ["error: argument --rpm: must be finite, got 'nan'"]
+
+
+def simulate_bytes(tmp_path, capsys, bend, config=""):
+    cfg, out = tmp_path / "run.cfg", tmp_path / "t.csv"
+    cfg.write_text(config)
+    extra = ["--bend", bend] if bend else []
+    status, _, err = run(capsys, "simulate", "--rpm", "120", "--duration", "2",
+                         "--config", str(cfg), *extra, "--out", str(out))
+    assert status == 0, err
+    return out.read_bytes()
+
+
+BEND_CONFIG = "cable_speed_mm_s = 0.5\nslack_threshold_mm = 2\n"
+
+
+def test_config_bend_keys_are_the_bend_entry_defaults(tmp_path, capsys):
+    configured = simulate_bytes(tmp_path, capsys, "pull=1,release=1", BEND_CONFIG)
+    assert configured != simulate_bytes(tmp_path, capsys, "pull=1,release=1")
+    assert configured == simulate_bytes(
+        tmp_path, capsys, "pull=1,release=1,cable_speed=0.5,slack_threshold=2")
+
+
+def test_a_bend_entry_beats_the_config(tmp_path, capsys):
+    config = BEND_CONFIG + "slack_amplitude_scale = 2\n"
+    explicit = "pull=1,release=1,cable_speed=0.1,slack_scale=4,slack_threshold=0.5"
+    assert (simulate_bytes(tmp_path, capsys, explicit, config)
+            == simulate_bytes(tmp_path, capsys, "pull=1,release=1"))
+
+
+def test_config_bend_keys_do_nothing_without_a_bend(tmp_path, capsys):
+    assert (simulate_bytes(tmp_path, capsys, None, BEND_CONFIG)
+            == simulate_bytes(tmp_path, capsys, None))
+
+
+def test_a_bad_config_bend_value_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cable_speed_mm_s = -1\n")
+    status, _, err = run(capsys, "simulate", "--rpm", "120", "--duration", "2",
+                         "--config", str(cfg), "--bend", "pull=1,release=1",
+                         "--out", str(tmp_path / "t.csv"))
+    assert status == 2
+    assert err.splitlines() == ["error: cable_speed_mm_s must be positive"]
+
+
+def test_output_dir_is_no_longer_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("output_dir = out\n")
+    status, out, err = run(capsys, "simulate", "--rpm", "120", "--config", str(cfg),
+                           "--out", str(tmp_path / "t.csv"))
+    assert status == 2 and out == ""
+    assert err.splitlines() == ["error: unknown config key 'output_dir' (line 1)"]

@@ -4,7 +4,7 @@ import pytest
 from fbgvib import (CalibrationModel, CmGeometry, DataError, ParameterError,
                     default_calibration, fit_calibration, load_calibration,
                     reconstruct, tips_for_curvatures, wavelength_to_curvature)
-from fbgvib.shape import calibration_csv_text, shape_csv_text
+from fbgvib.shape import _arc_step, calibration_csv_text, shape_csv_text
 
 from oracles import rk4_frenet_tips
 
@@ -196,3 +196,27 @@ def test_shape_csv_has_header_and_rows():
     lines = shape_csv_text(est).strip().split("\n")
     assert lines[0] == "s_mm,x_mm,z_mm"
     assert len(lines) == est.centerline_mm.shape[0] + 1
+
+
+def test_csv_writers_print_each_row_as_its_f_string():
+    est = reconstruct([5.0, -0.0, -120.0])
+    assert shape_csv_text(est) == "s_mm,x_mm,z_mm\n" + "".join(
+        f"{s:.6f},{x:.9f},{z:.9f}\n" for s, x, z in est.centerline_mm)
+    model = CalibrationModel((1510.0, 1535.3000000000002, 1590.0), (13.0, -11.5, 1e-9))
+    assert calibration_csv_text(model) == (
+        "aa_index,base_wavelength_nm,sensitivity_nm_per_invm\n" + "".join(
+            f"{i},{b:.9f},{s:.9f}\n" for i, (b, s) in enumerate(
+                zip(model.base_wavelengths_nm, model.sensitivities_nm_per_invm))))
+
+
+def test_tip_is_one_arc_step_per_segment_to_the_bit():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        kappa = 10.0 ** rng.uniform(-6, 2, 3) * rng.choice([-1.0, 0.0, 1.0], 3)
+        length = rng.uniform(5.0, 80.0)
+        geometry = CmGeometry(length, (0.25 * length, 0.5 * length, 0.75 * length))
+        x = z = theta = 0.0
+        for k, ell in zip(kappa / 1000.0, geometry.segment_lengths_mm()):
+            x, z, theta = _arc_step(x, z, theta, k, ell)
+        tip = reconstruct(kappa, geometry).tip_mm
+        assert [v.hex() for v in tip] == [float(x).hex(), float(z).hex()]

@@ -142,6 +142,11 @@ def test_ingest_empty_directory_rejected(tmp_path, params):
 
 # --- report text -----------------------------------------------------------------
 
+def test_report_csv_prints_each_point_as_its_f_string(report):
+    assert report_csv_text(report) == "rpm,amplitude_nm\n" + "".join(
+        f"{rpm:.6f},{amp:.9f}\n" for rpm, amp in report.points)
+
+
 def test_report_csv_and_summary(report):
     csv_lines = report_csv_text(report).strip().split("\n")
     assert csv_lines[0] == "rpm,amplitude_nm"
