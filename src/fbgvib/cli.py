@@ -189,8 +189,11 @@ def _cmd_sweep(args):
     else:
         if args.preset is not None and args.preset != "paper":
             raise ParameterError(f"unknown sweep preset {args.preset!r}")
+        if args.preset == "paper" and args.points != PAPER_POINTS:
+            raise ParameterError(f"--preset paper is the {PAPER_POINTS}-point grid; "
+                                 f"drop --points or the preset")
         if args.preset == "paper" or (args.rpm_min is None and args.rpm_max is None):
-            rpms = sweep.default_rpm_grid()
+            rpms = sweep.default_rpm_grid(n_points=args.points)
         else:
             if args.rpm_min is None or args.rpm_max is None:
                 raise ParameterError("--rpm-min and --rpm-max go together")
@@ -206,6 +209,9 @@ def _cmd_sweep(args):
     print(text, end="")
     return 0
 
+
+#: Grid size of ``sweep --preset paper`` and the default of ``--points``.
+PAPER_POINTS = 40
 
 #: Config keys of the vibration model, which has no flags.
 MODEL_KEYS = ("natural_f1_hz", "natural_f2_hz", "mass_ratio", "damping_ratio")
@@ -297,7 +303,7 @@ def build_parser(config=None):
     p.add_argument("--preset", default=None, help="'paper' = 40-point log grid")
     p.add_argument("--rpm-min", type=_finite_float, default=None)
     p.add_argument("--rpm-max", type=_finite_float, default=None)
-    p.add_argument("--points", type=int, default=40)
+    p.add_argument("--points", type=int, default=PAPER_POINTS)
     setting(p, "--duration", "duration_s", 10.0)
     setting(p, "--sample-rate", "sample_rate_hz", 1000.0)
     setting(p, "--noise", "noise_sigma_nm", 0.0)

@@ -11,12 +11,17 @@ sample forever: only the departure from that sample is filtered from rest,
 so the recursion works on the small signal rather than on the ~1535 nm
 level. The zeros are applied with array slices, and the pole pair is one
 compiled solve of a unit lower-triangular banded system, which is that
-recursion run in BLAS.
+recursion run in BLAS: scipy's ``dtbsv``, taken from the compiled
+extension that holds it without running the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +175,49 @@ def _pad_length(spec, n):
     return min(transient_samples(spec), n - 1)
 
 
+#: The compiled scipy extension that holds dtbsv, under its own module name.
+_FBLAS = "scipy.linalg._fblas"
+
+
+def _fblas_path():
+    """Path of scipy's compiled BLAS extension, or None when there is none.
+
+    Finding the top-level ``scipy`` spec imports nothing.
+    """
+    spec = importlib.util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_fblas" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _dtbsv():
+    """scipy's BLAS ``dtbsv``, without the ``scipy.linalg`` package import.
+
+    Running ``scipy/linalg/__init__`` costs about 0.2 s per process; the
+    extension module alone loads in a few milliseconds. It is registered
+    under its own name, so a later ``import scipy.linalg`` reuses it
+    instead of loading the file a second time. Falls back to the package
+    import when the file is not found or fails to load.
+    """
+    fblas = sys.modules.get(_FBLAS)
+    path = _fblas_path() if fblas is None else None
+    if path:
+        spec = importlib.util.spec_from_file_location(_FBLAS, path)
+        try:
+            fblas = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(fblas)
+            sys.modules[_FBLAS] = fblas
+        except (ImportError, OSError):
+            fblas = None
+    if fblas is None:
+        from scipy.linalg.blas import dtbsv
+        return dtbsv
+    return fblas.dtbsv
+
+
 def apply_zero_phase(spec, x):
     """Forward-then-reverse filtering per section; output length == input.
 
@@ -178,10 +226,8 @@ def apply_zero_phase(spec, x):
     effective magnitude response is the square of the cascade's and the net
     phase is zero.
     """
-    # Deferred: scipy.linalg takes about a quarter second to import, and the
-    # CLI stages other than filter and sweep never get here.
-    from scipy.linalg.blas import dtbsv
-
+    # Loaded on first use: only filter and sweep among the CLI stages get here.
+    dtbsv = _dtbsv()
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")

@@ -9,6 +9,7 @@ exact for all curvatures and stable through the straight pose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +33,8 @@ class CalibrationModel:
         sens = tuple(float(s) for s in self.sensitivities_nm_per_invm)
         if len(bases) != len(sens) or not bases:
             raise ParameterError("one (base, sensitivity) pair per active area")
-        if any(s == 0.0 for s in sens):
-            raise ParameterError("sensitivity must be nonzero for every active area")
+        if not all(math.isfinite(s) and s != 0.0 for s in sens):
+            raise ParameterError("sensitivity must be finite and nonzero for every active area")
         if any(not (BAND_NM[0] <= b <= BAND_NM[1]) for b in bases):
             raise ParameterError(f"base wavelengths must lie within {BAND_NM} nm")
         object.__setattr__(self, "base_wavelengths_nm", bases)

@@ -158,7 +158,8 @@ def peak_prominences(values):
     # The span [left, right) is the peak and its two valleys.
     level = np.frexp(right - left)[1] - 1  # floor(log2(span length))
     valley = np.empty(peaks.size)
-    for k in np.unique(level):
+    # bincount, not np.unique, which imports numpy.ma (about 12 ms).
+    for k in np.flatnonzero(np.bincount(level)):
         m = level == k
         valley[m] = np.minimum(lows[k][left[m]], lows[k][right[m] - (1 << k)])
     return peaks, height - valley

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbgvib import WavelengthTrace, events, filtering, shape, spectral
+from fbgvib import WavelengthTrace, events, filtering, shape, spectral, sweep
 from fbgvib.cli import build_parser, main
 from fbgvib.dataio import CONFIG_KEYS, parse_trace_csv, tips_csv_text, write_trace_csv
 
@@ -150,6 +150,25 @@ def test_sweep_determinism(tmp_path, capsys):
                            "--out", str(path))
         assert status == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_points_without_a_range_sizes_the_default_grid(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    status, out, _ = run(capsys, "sweep", "--points", "12", "--sample-rate", "250",
+                         "--out", str(out_csv))
+    assert status == 0
+    assert out.splitlines()[0] == "sweep points: 12"
+    rpms = [float(ln.split(",")[0]) for ln in out_csv.read_text().splitlines()[1:]]
+    assert rpms == pytest.approx(sweep.default_rpm_grid(n_points=12), abs=1e-6)
+
+
+def test_sweep_paper_preset_with_other_points_is_usage_error(tmp_path, capsys):
+    out_csv = tmp_path / "sweep.csv"
+    status, _, err = run(capsys, "sweep", "--preset", "paper", "--points", "12",
+                         "--out", str(out_csv))
+    assert status == 2
+    assert len(err.strip().splitlines()) == 1 and "--points" in err
+    assert not out_csv.exists()
 
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
@@ -357,6 +376,30 @@ def test_filter_and_sweep_run_without_scipy_signal(tmp_path):
     assert result.stdout.strip().splitlines()[-1] == "False"
 
 
+def test_cli_stages_leave_scipy_linalg_signal_and_numpy_ma_unloaded(tmp_path):
+    # Only the compiled BLAS extension (key scipy.linalg._fblas) may load.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    trace, clean, out = (str(tmp_path / name) for name in ("t.csv", "clean.csv", "out.csv"))
+    stages = [
+        ["simulate", "--rpm", "120", "--duration", "3", "--bend", "pull=1.5,release=1.5",
+         "--out", trace],
+        ["analyze", trace, "--rpm-hint", "120", "--out", out],
+        ["filter", trace, "--rpm", "120", "--out", clean],
+        ["shape", clean, "--out", out, "--out-tips", str(tmp_path / "tips.csv")],
+        ["detect", clean, "--out", out],
+        ["sweep", "--rpm-min", "600", "--rpm-max", "2400", "--points", "10", "--out", out],
+    ]
+    probe = ("import sys\nfrom fbgvib.cli import main\n"
+             + "".join(f"assert main({argv!r}) == 0\n" for argv in stages)
+             + "print([m for m in ('scipy.linalg', 'scipy.signal', 'numpy.ma') "
+               "if m in sys.modules])\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_analyze_transforms_channel_once(tmp_path, capsys, monkeypatch):
     trace = tmp_path / "t.csv"
     run(capsys, "simulate", "--rpm", "240", "--duration", "5", "--out", str(trace))
@@ -536,3 +579,18 @@ def test_output_dir_is_no_longer_a_config_key(tmp_path, capsys):
                            "--out", str(tmp_path / "t.csv"))
     assert status == 2 and out == ""
     assert err.splitlines() == ["error: unknown config key 'output_dir' (line 1)"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_calibration_sensitivity_is_usage_error(tmp_path, capsys, value):
+    trace, cal, poly = tmp_path / "t.csv", tmp_path / "cal.csv", tmp_path / "poly.csv"
+    status, _, _ = run(capsys, "simulate", "--rpm", "120", "--duration", "3",
+                       "--out", str(trace))
+    assert status == 0
+    cal.write_text("aa_index,base_wavelength_nm,sensitivity_nm_per_invm\n"
+                   f"0,1535.3,{value}\n1,1535.3,0.1\n2,1535.3,0.1\n")
+    status, out, err = run(capsys, "shape", str(trace), "--calibration", str(cal),
+                           "--out", str(poly))
+    assert status == 2
+    assert out == "" and len(err.strip().splitlines()) == 1
+    assert not poly.exists()

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,3 +289,79 @@ def test_bad_coefficient_names_line(tmp_path, bad):
     path.write_text(f"1.0 0.0 0.0 0.0 0.0\n1.0 0.0 {bad} 0.0 0.0\n")
     with pytest.raises(DataError, match="line 2"):
         load_filter_spec(path, FS)
+
+
+# --- BLAS loader -------------------------------------------------------------
+
+#: Filters one record with a notch cascade and with the sweep's low-pass;
+#: ``digest()`` hashes the bytes of both outputs.
+DIGEST_CODE = """\
+import hashlib, sys
+import numpy as np
+from fbgvib import filtering
+
+def digest():
+    t = np.arange(20000) / 1000.0
+    x = (1535.3 + 0.05 * np.sin(2 * np.pi * 2.0 * t) + 0.2 * (t > 9.0)
+         + 1e-3 * np.cos(7.3 * t))
+    notched = filtering.apply_zero_phase(
+        filtering.design_bandstop(2.0, 3, sample_rate_hz=1000.0), x)
+    low = filtering.extract_shape_component(x, 0.05, 1000.0)
+    return hashlib.sha256(notched.tobytes() + low.tobytes()).hexdigest()
+"""
+
+
+def fresh_digests(code):
+    """Run DIGEST_CODE then ``code`` in a new interpreter; its printed words."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", DIGEST_CODE + code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.split()
+
+
+def in_process_digest():
+    namespace = {}
+    exec(DIGEST_CODE, namespace)
+    return namespace["digest"]()
+
+
+def test_blas_extension_loads_alone_and_scipy_linalg_reuses_it():
+    first, second = fresh_digests(
+        "first = digest()\n"
+        "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules\n"
+        "assert 'scipy.linalg._fblas' in sys.modules\n"
+        "loaded = filtering._dtbsv()\n"
+        "import scipy.linalg, scipy.signal\n"
+        "assert scipy.linalg.blas.dtbsv is loaded\n"
+        "assert scipy.linalg.blas._fblas is sys.modules['scipy.linalg._fblas']\n"
+        "assert scipy.signal.sosfilt([[1, 0, 0, 1, 0, 0]], np.ones(3)).tolist() == [1, 1, 1]\n"
+        "print(first, digest())\n")
+    assert first == second == in_process_digest()
+
+
+def test_blas_loader_reuses_an_imported_scipy_linalg():
+    # No file lookup may happen: the module is already in sys.modules.
+    digest, = fresh_digests(
+        "import scipy.linalg\n"
+        "filtering._fblas_path = None\n"
+        "assert filtering._dtbsv() is scipy.linalg.blas.dtbsv\n"
+        "print(digest())\n")
+    assert digest == in_process_digest()
+
+
+@pytest.mark.parametrize("lookup", ["lambda: None", "lambda: {broken!r}"],
+                         ids=["no-file", "broken-file"])
+def test_blas_loader_falls_back_to_the_package_import(tmp_path, lookup):
+    broken = tmp_path / "_fblas.so"
+    broken.write_text("not a shared object\n")
+    digest, = fresh_digests(
+        f"filtering._fblas_path = {lookup.format(broken=str(broken))}\n"
+        "result = digest()\n"
+        "assert 'scipy.linalg' in sys.modules\n"
+        "import scipy.linalg\n"
+        "assert filtering._dtbsv() is scipy.linalg.blas.dtbsv\n"
+        "print(result)\n")
+    assert digest == in_process_digest()

@@ -53,6 +53,12 @@ def test_zero_sensitivity_rejected():
         CalibrationModel((1535.3,), (0.0,))
 
 
+@pytest.mark.parametrize("sensitivity", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_sensitivity_rejected(sensitivity):
+    with pytest.raises(ParameterError, match="finite"):
+        CalibrationModel((1535.3, 1535.3), (13.0, sensitivity))
+
+
 def test_round_trip_through_calibration():
     calib = CalibrationModel((1531.0, 1535.3, 1540.2), (13.0, -11.5, 9.25))
     kappa = np.array([0.04, -0.08, 0.13])
