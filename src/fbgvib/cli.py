@@ -189,10 +189,13 @@ def _cmd_sweep(args):
     else:
         if args.preset is not None and args.preset != "paper":
             raise ParameterError(f"unknown sweep preset {args.preset!r}")
-        if args.preset == "paper" and args.points != PAPER_POINTS:
-            raise ParameterError(f"--preset paper is the {PAPER_POINTS}-point grid; "
-                                 f"drop --points or the preset")
-        if args.preset == "paper" or (args.rpm_min is None and args.rpm_max is None):
+        if args.preset == "paper" and (args.points, args.rpm_min, args.rpm_max) != (
+                PAPER_POINTS, None, None):
+            raise ParameterError(f"--preset paper is the default {PAPER_POINTS}-point grid; "
+                                 f"drop --points, --rpm-min and --rpm-max or the preset")
+        if args.points < sweep.MIN_POINTS:
+            raise ParameterError(f"--points must be at least {sweep.MIN_POINTS}")
+        if args.rpm_min is None and args.rpm_max is None:
             rpms = sweep.default_rpm_grid(n_points=args.points)
         else:
             if args.rpm_min is None or args.rpm_max is None:
@@ -229,7 +232,6 @@ def build_parser(config=None):
 
     def common(p):
         p.add_argument("--config", help="key = value configuration file")
-        p.add_argument("--seed", type=int, default=config.get("seed", 0))
 
     def setting(p, flag, key, default=None, type=_finite_float, **kwargs):
         p.add_argument(flag, dest=key, type=type, default=config.get(key, default),
@@ -241,6 +243,7 @@ def build_parser(config=None):
 
     p = sub.add_parser("simulate", help="generate a synthetic trace CSV")
     common(p)
+    setting(p, "--seed", "seed", 0, type=int)
     setting(p, "--rpm", "tool_velocity_rpm")
     p.add_argument("--preset", choices=sorted(vib_model.SCENARIO_PRESETS))
     setting(p, "--duration", "duration_s", 10.0, help="seconds")
@@ -300,6 +303,7 @@ def build_parser(config=None):
 
     p = sub.add_parser("sweep", help="amplitude vs rpm and resonances")
     common(p)
+    setting(p, "--seed", "seed", 0, type=int)
     p.add_argument("--preset", default=None, help="'paper' = 40-point log grid")
     p.add_argument("--rpm-min", type=_finite_float, default=None)
     p.add_argument("--rpm-max", type=_finite_float, default=None)

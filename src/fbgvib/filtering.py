@@ -1,4 +1,4 @@
-"""Band-stop cascades keyed to the tool rate, plus a low-pass extractor.
+"""Band-stop cascades keyed to the tool rate, plus a low-pass shape filter.
 
 Each notch is a single second-order section with its zeros placed on the
 unit circle at the notch frequency and its poles pulled inside at a radius
@@ -112,10 +112,6 @@ def _notch_section(center_hz, bandwidth_hz, sample_rate_hz):
                          a1=-2.0 * r * cw, a2=r * r)
 
 
-def default_bandwidth_hz(fundamental_hz):
-    return max(DEFAULT_BANDWIDTH_RATIO * fundamental_hz, MIN_BANDWIDTH_HZ)
-
-
 def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
                     bandwidth_hz=None, sample_rate_hz=1000.0):
     """Notch cascade at the fundamental and its integer multiples.
@@ -132,7 +128,7 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
     if n_harmonics < 1:
         raise ParameterError("n_harmonics must be at least 1")
     if bandwidth_hz is None:
-        bandwidth_hz = default_bandwidth_hz(fundamental_hz)
+        bandwidth_hz = max(DEFAULT_BANDWIDTH_RATIO * fundamental_hz, MIN_BANDWIDTH_HZ)
     if not _finite_positive(bandwidth_hz):
         raise ParameterError("bandwidth_hz must be finite and positive")
     nyquist = sample_rate_hz / 2.0
@@ -264,11 +260,6 @@ def apply_zero_phase(spec, x):
     return y[pad:pad + x.shape[0]]
 
 
-def extract_shape_component(x, cutoff_hz, sample_rate_hz):
-    """Zero-phase low-pass isolating the slow shape content of a channel."""
-    return apply_zero_phase(design_lowpass(cutoff_hz, sample_rate_hz), x)
-
-
 def save_filter_spec(path, spec):
     """Write one section per line: b0 b1 b2 a1 a2 (full double precision)."""
     lines = []
@@ -276,29 +267,3 @@ def save_filter_spec(path, spec):
         lines.append(" ".join(f"{v:.17e}" for v in (s.b0, s.b1, s.b2, s.a1, s.a2)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
-
-def load_filter_spec(path, sample_rate_hz):
-    """Read a coefficient file written by save_filter_spec.
-
-    Declared notch metadata is not stored in the file, so the loaded spec
-    carries coefficients only; stability is re-validated per section.
-    """
-    sections = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 5:
-                raise DataError(f"line {lineno}: expected 5 coefficients, got {len(parts)}")
-            try:
-                vals = [float(p) for p in parts]
-            except ValueError:
-                raise DataError(f"line {lineno}: non-numeric coefficient in {line!r}") from None
-            if not all(math.isfinite(v) for v in vals):
-                raise DataError(f"line {lineno}: coefficients must be finite")
-            sections.append(BiquadSection(*vals))
-    if not sections:
-        raise DataError("coefficient file holds no sections")
-    return FilterSpec(sections=tuple(sections), sample_rate_hz=sample_rate_hz)

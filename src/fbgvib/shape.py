@@ -72,9 +72,6 @@ class CmGeometry:
 
     length_mm: float = 35.0
     aa_positions_mm: tuple = (8.75, 17.5, 26.25)
-    od_mm: float = 6.0
-    id_mm: float = 4.0
-    channel_d_mm: float = 0.5
 
     def __post_init__(self):
         pos = tuple(float(p) for p in self.aa_positions_mm)
@@ -84,10 +81,6 @@ class CmGeometry:
                 b <= a for a, b in zip(pos, pos[1:])) or pos[-1] > self.length_mm:
             raise ParameterError(
                 "active-area positions must be strictly increasing in (0, length_mm]")
-        if not (self.od_mm > self.id_mm > 0):
-            raise ParameterError("diameters must satisfy od_mm > id_mm > 0")
-        if self.channel_d_mm <= 0:
-            raise ParameterError("channel_d_mm must be positive")
         object.__setattr__(self, "aa_positions_mm", pos)
 
     def segment_lengths_mm(self):

@@ -39,38 +39,6 @@ def fft_forward(x):
     return np.fft.fft(x.astype(np.promote_types(x.dtype, np.float64), copy=False))
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Complex transform bins of a uniformly sampled record.
-
-    Bin k corresponds to frequency k * sample_rate_hz / n.
-    """
-
-    n: int
-    sample_rate_hz: float
-    bins: np.ndarray
-    window: str = "rectangular"
-
-    def __post_init__(self):
-        if self.n < 1 or self.bins.shape != (self.n,):
-            raise DataError("bin count must match the transform length")
-        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ParameterError("sample_rate_hz must be finite and positive")
-        if self.window not in WINDOWS:
-            raise ParameterError(f"unknown window {self.window!r}")
-
-
-def dft(x, sample_rate_hz=1.0):
-    """N-point transform X[k] = sum_n x[n] exp(-j 2 pi k n / N).
-
-    Computed with a fast algorithm for any N, including primes; raises
-    DataError on empty input.
-    """
-    x = np.asarray(x, dtype=float)
-    bins = fft_forward(x)
-    return Spectrum(n=x.shape[0], sample_rate_hz=float(sample_rate_hz), bins=bins)
-
-
 def _window_values(window, n):
     if window == "rectangular":
         return np.ones(n)
@@ -80,7 +48,7 @@ def _window_values(window, n):
     raise ParameterError(f"unknown window {window!r}; expected one of {WINDOWS}")
 
 
-def magnitude_spectrum(x, sample_rate_hz, window="rectangular", zero_pad_to=None):
+def magnitude_spectrum(x, sample_rate_hz, window="rectangular"):
     """One-sided amplitude spectrum over [0, sample_rate_hz / 2].
 
     Amplitudes are scaled by the window's coherent gain so a unit sinusoid
@@ -95,18 +63,12 @@ def magnitude_spectrum(x, sample_rate_hz, window="rectangular", zero_pad_to=None
         raise DataError("channel must be a non-empty 1-D array")
     n = x.shape[0]
     w = _window_values(window, n)
-    xw = x * w
-    if zero_pad_to is not None:
-        if zero_pad_to < n:
-            raise DataError(f"zero_pad_to={zero_pad_to} is smaller than the input ({n})")
-        xw = np.concatenate((xw, np.zeros(zero_pad_to - n)))
-    m = xw.shape[0]
-    bins = fft_forward(xw)
-    half = m // 2
-    freqs = np.arange(half + 1) * (float(sample_rate_hz) / m)
+    bins = fft_forward(x * w)
+    half = n // 2
+    freqs = np.arange(half + 1) * (float(sample_rate_hz) / n)
     mags = np.abs(bins[: half + 1]) * (2.0 / np.sum(w))
     mags[0] *= 0.5
-    if m % 2 == 0:
+    if n % 2 == 0:
         mags[-1] *= 0.5
     return freqs, mags
 
@@ -202,26 +164,18 @@ class SpectralFeatures:
             raise DataError("base frequency must lie below the fundamental")
 
 
-def identify_features(x, sample_rate_hz, rpm_hint=None, window="hann",
-                      shape_cutoff_hz=DEFAULT_SHAPE_CUTOFF_HZ,
-                      min_prominence=DEFAULT_MIN_PROMINENCE_NM,
-                      max_freq_hz=DEFAULT_MAX_FREQ_HZ,
-                      max_harmonic=5):
+def identify_features(x, sample_rate_hz, window="hann", **settings):
     """Extract base frequency, fundamental, and harmonics from one channel.
 
     The channel mean is removed before the transform so the large static
     wavelength does not leak into the shape band; the spectrum then goes
-    to features_from_spectrum.
+    to features_from_spectrum, with ``settings`` as its keywords.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("channel must be a non-empty 1-D array")
     freqs, mags = magnitude_spectrum(x - x.mean(), sample_rate_hz, window=window)
-    return features_from_spectrum(freqs, mags, rpm_hint=rpm_hint,
-                                  shape_cutoff_hz=shape_cutoff_hz,
-                                  min_prominence=min_prominence,
-                                  max_freq_hz=max_freq_hz,
-                                  max_harmonic=max_harmonic)
+    return features_from_spectrum(freqs, mags, **settings)
 
 
 def features_from_spectrum(freqs, mags, rpm_hint=None,

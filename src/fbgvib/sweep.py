@@ -31,6 +31,9 @@ PEAK_PROMINENCE_RATIO = 0.05
 #: Avoid-band boundary relative to its peak amplitude.
 AVOID_BAND_RATIO = 0.5
 
+#: Fewest rpm points a sweep takes.
+MIN_POINTS = 10
+
 #: Shape-removal edge margin trimmed before the peak-to-peak measurement.
 SETTLE_TIME_CONSTANTS = 8.0
 
@@ -163,8 +166,8 @@ def run_sweep(rpms, template, params, seed=0,
     does not depend on evaluation order.
     """
     rpm_list = [float(r) for r in rpms]
-    if len(rpm_list) < 10:
-        raise ParameterError("a sweep needs at least 10 rpm points")
+    if len(rpm_list) < MIN_POINTS:
+        raise ParameterError(f"a sweep needs at least {MIN_POINTS} rpm points")
     if any(b <= a for a, b in zip(rpm_list, rpm_list[1:])):
         raise ParameterError("rpm values must be strictly increasing")
     if rpm_list[0] <= 0:

@@ -188,20 +188,20 @@ class BendProfile:
     slack_threshold_mm: float = 0.5
 
     def __post_init__(self):
-        if self.cable_speed_mm_s <= 0:
+        if not (np.isfinite(self.cable_speed_mm_s) and self.cable_speed_mm_s > 0):
             raise ParameterError("cable_speed_mm_s must be positive")
-        if self.curvature_gain < 0:
+        if not (np.isfinite(self.curvature_gain) and self.curvature_gain >= 0):
             raise ParameterError("curvature_gain must be non-negative")
-        if self.slack_amplitude_scale <= 1.0:
+        if not (np.isfinite(self.slack_amplitude_scale) and self.slack_amplitude_scale > 1.0):
             raise ParameterError("slack_amplitude_scale must exceed 1")
-        if self.slack_threshold_mm <= 0:
+        if not (np.isfinite(self.slack_threshold_mm) and self.slack_threshold_mm > 0):
             raise ParameterError("slack_threshold_mm must be positive")
         disp = 0.0
         for kind, duration in self.segments:
             if kind not in BEND_PHASES:
                 raise ParameterError(f"unknown bend phase {kind!r}")
-            if duration <= 0:
-                raise ParameterError("phase durations must be positive")
+            if not (np.isfinite(duration) and duration > 0):
+                raise ParameterError("phase durations must be finite and positive")
             if kind == "pull":
                 disp += self.cable_speed_mm_s * duration
             elif kind == "release":

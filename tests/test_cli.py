@@ -171,6 +171,42 @@ def test_sweep_paper_preset_with_other_points_is_usage_error(tmp_path, capsys):
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("bounds", [["--rpm-min", "100", "--rpm-max", "200"],
+                                    ["--rpm-max", "200"]], ids=["range", "max-only"])
+def test_sweep_paper_preset_with_an_rpm_range_is_usage_error(tmp_path, capsys, bounds):
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--preset", "paper", *bounds,
+                           "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--rpm-min" in err
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("points", ["-1", "0", "9"])
+@pytest.mark.parametrize("bounds", [[], ["--rpm-min", "100", "--rpm-max", "200"]],
+                         ids=["default-range", "range"])
+def test_sweep_with_fewer_than_ten_points_is_usage_error(tmp_path, capsys, bounds, points):
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", *bounds, "--points", points,
+                           "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert err.splitlines() == ["error: --points must be at least 10"]
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "filter", "shape", "detect"])
+def test_seed_is_refused_by_stages_without_random_numbers(tmp_path, capsys, command):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "3", "--out", str(trace))
+    out_file = tmp_path / "out.csv"
+    extra = ["--rpm", "120"] if command == "filter" else []
+    status, out, err = run(capsys, command, str(trace), *extra, "--seed", "5",
+                           "--out", str(out_file))
+    assert status == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "--seed" in err
+    assert not out_file.exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("tool_velocity_rpm = 240\nduration_s = 4\nseed = 9\n")
@@ -447,6 +483,9 @@ MODEL_ROWS = [(None, "natural_f1_hz", None, 0.5, None),
               (None, "mass_ratio", None, 0.2, None),
               (None, "damping_ratio", None, 0.08, None)]
 
+#: Only the two stages that draw random numbers take a seed.
+SEED_ROW = ("--seed", "seed", "3", 9, 0)
+
 #: Per subcommand: the arguments it needs, then each config key it reads as
 #: (flag or None, key, flag text, config value, built-in default). A flag
 #: resolves to its text read as the config value's type.
@@ -457,6 +496,7 @@ SETTINGS = {
         ("--sample-rate", "sample_rate_hz", "500", 250.0, 1000.0),
         ("--noise", "noise_sigma_nm", "0.001", 0.004, 0.002),
         ("--base", "base_wavelength_nm", "1540", 1550.0, 1535.3),
+        SEED_ROW,
         *MODEL_ROWS,
         (None, "cable_speed_mm_s", None, 0.5, None),
         (None, "slack_amplitude_scale", None, 2.0, None),
@@ -480,11 +520,11 @@ SETTINGS = {
         ("--duration", "duration_s", "3", 4.0, 10.0),
         ("--sample-rate", "sample_rate_hz", "500", 250.0, 1000.0),
         ("--noise", "noise_sigma_nm", "0.001", 0.004, 0.0),
+        SEED_ROW,
         *MODEL_ROWS]),
 }
-SEED_ROW = ("--seed", "seed", "3", 9, 0)
 SETTING_CASES = [(command, row) for command, (_, rows) in SETTINGS.items()
-                 for row in [*rows, SEED_ROW]]
+                 for row in rows]
 #: One value for every config key, from the table.
 SAMPLE_CONFIG = {key: value for _, (_, key, _, value, _) in SETTING_CASES}
 
@@ -516,7 +556,7 @@ def test_a_command_reads_only_its_own_config_keys(command):
     plain = resolved(command)
     read = {key for key, value in SAMPLE_CONFIG.items()
             if resolved(command, {key: value}) != plain}
-    assert read == {row[1] for row in [*SETTINGS[command][1], SEED_ROW]}
+    assert read == {row[1] for row in SETTINGS[command][1]}
     ignored = {key: value for key, value in SAMPLE_CONFIG.items() if key not in read}
     assert resolved(command, ignored) == plain
 

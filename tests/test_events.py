@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
                     design_bandstop, apply_zero_phase, detect_steps, simulate)
@@ -81,6 +83,39 @@ def test_magnitudes_never_below_threshold():
     report = detect_steps(x, threshold_nm=0.3, drift_nm=0.02)
     for event in report.events:
         assert event.magnitude_nm >= 0.3
+
+
+@st.composite
+def stepped_records(draw):
+    """A level with random steps and a ramp, optionally noisy, at 1 kHz."""
+    n = draw(st.integers(1000, 20000))  # two blocks of the longest window
+    x = np.full(n, draw(st.floats(1500.0, 1600.0)))
+    x += draw(st.floats(-0.05, 0.05)) * np.arange(n) / FS
+    for _ in range(draw(st.integers(0, 6))):
+        x[draw(st.integers(0, n - 1)):] += draw(st.floats(-2.0, 2.0))
+    sigma = draw(st.sampled_from([0.0, 0.002, 0.02]))
+    return x + np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(0.0, sigma, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=stepped_records(), threshold=st.floats(0.02, 1.0),
+       drift_share=st.floats(0.01, 0.99), window_s=st.floats(0.01, 2.0))
+def test_events_in_time_order_and_above_threshold(x, threshold, drift_share, window_s):
+    report = detect_steps(x, threshold_nm=threshold, drift_nm=drift_share * threshold,
+                          window_s=window_s, sample_rate_hz=FS)
+    indices = [e.index for e in report.events]
+    assert indices == sorted(set(indices))
+    assert [e.time_s for e in report.events] == [i / FS for i in indices]
+    assert all(e.magnitude_nm >= threshold for e in report.events)
+
+
+@settings(max_examples=100, deadline=None)
+@given(level=st.floats(-1e6, 1e6), n=st.integers(1000, 20000),
+       threshold=st.floats(1e-6, 1.0), window_s=st.floats(0.01, 2.0))
+def test_constant_record_has_no_event(level, n, threshold, window_s):
+    assert detect_steps(np.full(n, level), threshold_nm=threshold,
+                        drift_nm=threshold / 2, window_s=window_s,
+                        sample_rate_hz=FS).events == ()
 
 
 def test_threshold_monotonicity():

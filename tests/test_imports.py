@@ -1,3 +1,5 @@
+import ast
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,27 @@ def test_module_imports_first_and_on_its_own(module):
              f"importlib.import_module('fbgvib.{module}')\n")
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+#: What perfbench/run.py reads from the package besides the traced functions.
+BENCHMARK_READS = {"filtering": ("transient_samples",),
+                   "sweep": ("DEFAULT_SHAPE_CUTOFF_HZ", "SETTLE_TIME_CONSTANTS",
+                             "DEFAULT_DISCARD_FRACTION", "default_rpm_grid")}
+
+
+def benchmark_wrapped():
+    """perfbench/tracing.py's WRAPPED table, read from its source unexecuted."""
+    path = PACKAGE.parents[1] / "perfbench" / "tracing.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["WRAPPED"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("no WRAPPED table in perfbench/tracing.py")
+
+
+def test_every_name_the_benchmark_uses_exists():
+    missing = [f"{module}.{name}"
+               for table in (benchmark_wrapped(), BENCHMARK_READS)
+               for module, names in table.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"fbgvib.{module}"), name)]
+    assert missing == []

@@ -73,8 +73,6 @@ def test_round_trip_through_calibration():
 def test_geometry_validation():
     with pytest.raises(ParameterError):
         CmGeometry(aa_positions_mm=(10.0, 5.0, 20.0))
-    with pytest.raises(ParameterError):
-        CmGeometry(od_mm=4.0, id_mm=6.0)
 
 
 def test_segment_boundaries_at_midpoints():

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fbgvib import (DataError, ParameterError, Scenario, Spectrum,
-                    default_params, dft, features_from_spectrum, find_peaks,
-                    identify_features, magnitude_spectrum, simulate)
-from fbgvib.spectral import spectrum_rows
+from fbgvib import (DataError, ParameterError, Scenario, default_params,
+                    features_from_spectrum, find_peaks, identify_features,
+                    magnitude_spectrum, simulate)
+from fbgvib.spectral import fft_forward, spectrum_rows
 
 from oracles import naive_dft
 
@@ -13,26 +13,20 @@ from oracles import naive_dft
 
 def test_empty_input_rejected():
     with pytest.raises(DataError):
-        dft([])
-
-
-@pytest.mark.parametrize("rate", [float("nan"), float("inf"), 0.0])
-def test_spectrum_rate_must_be_finite_and_positive(rate):
-    with pytest.raises(ParameterError):
-        Spectrum(n=2, sample_rate_hz=rate, bins=np.zeros(2, dtype=complex))
+        fft_forward([])
 
 
 def test_unit_impulse_is_flat():
-    spec = dft([1.0, 0.0, 0.0, 0.0])
-    assert np.allclose(spec.bins, np.ones(4), atol=1e-14)
+    bins = fft_forward([1.0, 0.0, 0.0, 0.0])
+    assert np.allclose(bins, np.ones(4), atol=1e-14)
 
 
 def test_constant_input_is_dc_only():
     c = 3.7
     n = 100
-    spec = dft(np.full(n, c))
-    assert abs(spec.bins[0] - c * n) <= 1e-12 * c * n
-    assert np.all(np.abs(spec.bins[1:]) <= 1e-12 * c * n)
+    bins = fft_forward(np.full(n, c))
+    assert abs(bins[0] - c * n) <= 1e-12 * c * n
+    assert np.all(np.abs(bins[1:]) <= 1e-12 * c * n)
 
 
 def test_on_bin_sine_1024_matches_naive():
@@ -40,13 +34,13 @@ def test_on_bin_sine_1024_matches_naive():
     fs = 1000.0
     f = 8 * fs / n
     x = np.sin(2 * np.pi * f * np.arange(n) / fs)
-    spec = dft(x, fs)
+    bins = fft_forward(x)
     ref = naive_dft(x)
-    assert np.linalg.norm(spec.bins - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert np.linalg.norm(bins - ref) <= 1e-9 * np.linalg.norm(ref)
     k = 8
-    assert abs(abs(spec.bins[k]) - n / 2) < 1e-6
-    assert abs(abs(spec.bins[n - k]) - n / 2) < 1e-6
-    others = np.delete(np.abs(spec.bins), [k, n - k])
+    assert abs(abs(bins[k]) - n / 2) < 1e-6
+    assert abs(abs(bins[n - k]) - n / 2) < 1e-6
+    others = np.delete(np.abs(bins), [k, n - k])
     assert others.max() < 1e-8 * n
 
 
@@ -54,7 +48,7 @@ def test_matches_naive_for_awkward_lengths():
     rng = np.random.default_rng(7)
     for n in [1, 2, 3, 5, 17, 31, 97, 120, 128, 255, 389, 512]:
         x = rng.normal(size=n)
-        got = dft(x).bins
+        got = fft_forward(x)
         ref = naive_dft(x)
         assert np.linalg.norm(got - ref) <= 1e-9 * max(np.linalg.norm(ref), 1e-30)
 
@@ -63,7 +57,7 @@ def test_parseval():
     rng = np.random.default_rng(11)
     for n in [16, 91, 257]:
         x = rng.normal(size=n)
-        bins = dft(x).bins
+        bins = fft_forward(x)
         lhs = np.sum(x * x)
         rhs = np.sum(np.abs(bins) ** 2) / n
         assert abs(lhs - rhs) <= 1e-9 * lhs
@@ -72,7 +66,7 @@ def test_parseval():
 def test_conjugate_symmetry_for_real_input():
     rng = np.random.default_rng(13)
     x = rng.normal(size=90)
-    bins = dft(x).bins
+    bins = fft_forward(x)
     scale = np.abs(bins).max()
     for k in range(1, 90):
         assert abs(bins[90 - k] - np.conj(bins[k])) <= 1e-12 * scale
@@ -82,8 +76,8 @@ def test_linearity():
     rng = np.random.default_rng(17)
     x, y = rng.normal(size=(2, 73))
     a, b = 2.5, -1.25
-    lhs = dft(a * x + b * y).bins
-    rhs = a * dft(x).bins + b * dft(y).bins
+    lhs = fft_forward(a * x + b * y)
+    rhs = a * fft_forward(x) + b * fft_forward(y)
     assert np.allclose(lhs, rhs, atol=1e-10 * np.abs(rhs).max())
 
 
@@ -93,8 +87,8 @@ def test_circular_shift_multiplies_by_phase_ramp():
     x = rng.normal(size=n)
     shifted = np.roll(x, m)
     k = np.arange(n)
-    expected = dft(x).bins * np.exp(-2j * np.pi * k * m / n)
-    assert np.allclose(dft(shifted).bins, expected, atol=1e-10 * n)
+    expected = fft_forward(x) * np.exp(-2j * np.pi * k * m / n)
+    assert np.allclose(fft_forward(shifted), expected, atol=1e-10 * n)
 
 
 # --- magnitude spectrum ---------------------------------------------------
@@ -116,11 +110,6 @@ def test_on_bin_unit_sine_reports_one():
     # Hann normalization reports the same amplitude on a bin.
     _, mags_h = magnitude_spectrum(x, fs, window="hann")
     assert mags_h[k] == pytest.approx(1.0, rel=1e-6)
-
-
-def test_zero_pad_shorter_than_input_rejected():
-    with pytest.raises(DataError):
-        magnitude_spectrum(np.ones(100), 1000.0, zero_pad_to=50)
 
 
 def test_simulated_120rpm_peak_near_2hz(params):

@@ -116,6 +116,17 @@ def test_overdrawn_release_rejected():
         BendProfile(segments=(("pull", 10.0), ("release", 20.0)))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("cable_speed_mm_s", float("nan")), ("curvature_gain", float("nan")),
+    ("slack_threshold_mm", float("nan")), ("slack_amplitude_scale", float("inf")),
+    ("segments", (("pull", float("nan")),)), ("segments", (("hold", float("inf")),))],
+    ids=["cable-speed-nan", "gain-nan", "threshold-nan", "scale-inf", "duration-nan",
+         "duration-inf"])
+def test_non_finite_bend_value_rejected(field, value):
+    with pytest.raises(ParameterError):
+        BendProfile(**{field: value})
+
+
 def test_hold_keeps_displacement():
     profile = BendProfile(segments=(("pull", 10.0), ("hold", 5.0), ("release", 10.0)))
     _, d1 = bend_curvature(profile, 10.0)
