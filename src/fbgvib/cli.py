@@ -185,6 +185,14 @@ def _cmd_detect(args):
 def _cmd_sweep(args):
     params = vib_model.default_params(**args.model)
     if args.from_dir:
+        # The files set the rpm grid; a grid option would be ignored.
+        grid = [flag for flag, value, default in (
+            ("--preset", args.preset, None), ("--rpm-min", args.rpm_min, None),
+            ("--rpm-max", args.rpm_max, None), ("--points", args.points, PAPER_POINTS))
+            if value != default]
+        if grid:
+            raise ParameterError(f"--from-dir takes its rpm grid from the files; "
+                                 f"drop {', '.join(grid)}")
         report = sweep.ingest_sweep_dir(args.from_dir, params)
     else:
         if args.preset is not None and args.preset != "paper":

@@ -17,12 +17,13 @@ extension that holds it without running the ``scipy.linalg`` package.
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,16 +49,20 @@ class BiquadSection:
     b2: float
     a1: float
     a2: float
+    _pole_radius: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.b0, self.b1, self.b2, self.a1, self.a2)):
             raise ParameterError("section coefficients must be finite")
-        if self.pole_radius() >= 1.0:
+        poles = np.roots([1.0, self.a1, self.a2])
+        radius = float(np.max(np.abs(poles))) if poles.size else 0.0
+        if radius >= 1.0:
             raise ParameterError("unstable section: poles must lie inside the unit circle")
+        object.__setattr__(self, "_pole_radius", radius)
 
     def pole_radius(self):
-        poles = np.roots([1.0, self.a1, self.a2])
-        return float(np.max(np.abs(poles))) if poles.size else 0.0
+        """Largest pole magnitude, found once when the section is built."""
+        return self._pole_radius
 
     def response(self, z_inv):
         num = self.b0 + self.b1 * z_inv + self.b2 * z_inv * z_inv
@@ -100,7 +105,9 @@ def _finite_positive(value):
     return math.isfinite(value) and value > 0
 
 
+@functools.lru_cache(maxsize=64)
 def _notch_section(center_hz, bandwidth_hz, sample_rate_hz):
+    """One notch; frozen, so equal (float) arguments share one section."""
     w0 = 2.0 * np.pi * center_hz / sample_rate_hz
     # Pole radius fixes the -3 dB width for narrow notches.
     r = 1.0 - np.pi * bandwidth_hz / sample_rate_hz
@@ -136,7 +143,8 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
     if centers[-1] >= nyquist:
         raise ParameterError(
             f"notch at {centers[-1]} Hz is at or above the Nyquist frequency {nyquist} Hz")
-    sections = [_notch_section(c, bandwidth_hz, sample_rate_hz) for c in centers]
+    sections = [_notch_section(float(c), float(bandwidth_hz), float(sample_rate_hz))
+                for c in centers]
     return FilterSpec(sections=tuple(sections), sample_rate_hz=sample_rate_hz,
                       notches=tuple((c, bandwidth_hz) for c in centers))
 
@@ -158,7 +166,10 @@ def design_lowpass(cutoff_hz, sample_rate_hz):
 
 
 def transient_samples(spec, n_time_constants=3.0):
-    """Edge-transient extent: n time constants of the slowest pole."""
+    """Edge-transient extent: n time constants of the slowest pole.
+
+    Reads each section's pole radius, which was found when it was built.
+    """
     radii = [s.pole_radius() for s in spec.sections]
     r = max(radii) if radii else 0.0
     if r <= 0:

@@ -10,6 +10,7 @@ content from the tool-locked line and its integer multiples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,13 +40,16 @@ def fft_forward(x):
     return np.fft.fft(x.astype(np.promote_types(x.dtype, np.float64), copy=False))
 
 
+@functools.lru_cache(maxsize=4)
 def _window_values(window, n):
+    """The window's n samples, read-only: equal calls share one array."""
     if window == "rectangular":
-        return np.ones(n)
-    if window == "hann":
+        w = np.ones(n)
+    else:
         # Periodic form: integer-bin lines leak into adjacent bins only.
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-    raise ParameterError(f"unknown window {window!r}; expected one of {WINDOWS}")
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    w.flags.writeable = False
+    return w
 
 
 def magnitude_spectrum(x, sample_rate_hz, window="rectangular"):
@@ -61,6 +65,8 @@ def magnitude_spectrum(x, sample_rate_hz, window="rectangular"):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("channel must be a non-empty 1-D array")
+    if window not in WINDOWS:
+        raise ParameterError(f"unknown window {window!r}; expected one of {WINDOWS}")
     n = x.shape[0]
     w = _window_values(window, n)
     bins = fft_forward(x * w)
@@ -95,11 +101,24 @@ def peak_prominences(values):
     (indices, prominences) : an ascending integer array and a float array.
     """
     a = np.asarray(values, dtype=float)
-    n = a.shape[0]
+    peaks = _local_maxima(a)
+    return peaks, _prominences(a, peaks)
+
+
+def _local_maxima(a):
     inner = a[1:-1]
-    peaks = np.flatnonzero((inner > a[:-2]) & (inner > a[2:])) + 1
+    return np.flatnonzero((inner > a[:-2]) & (inner > a[2:])) + 1
+
+
+def _prominences(a, peaks):
+    """Prominences of ``peaks``, any subset of the local maxima of ``a``.
+
+    Each peak's walk is independent of the others, so a subset gets the
+    values the full set would; the tables cover all of ``a`` regardless.
+    """
     if peaks.size == 0:
-        return peaks, np.empty(0)
+        return np.empty(0)
+    n = a.shape[0]
     # Level k holds the max (min) of a[j:j + 2**k] at index j.
     highs, lows = [a], [a]
     while 2 * highs[-1].shape[0] > n + 1:
@@ -124,7 +143,7 @@ def peak_prominences(values):
     for k in np.flatnonzero(np.bincount(level)):
         m = level == k
         valley[m] = np.minimum(lows[k][left[m]], lows[k][right[m] - (1 << k)])
-    return peaks, height - valley
+    return height - valley
 
 
 def find_peaks(freqs, mags, min_prominence=DEFAULT_MIN_PROMINENCE_NM,
@@ -132,14 +151,25 @@ def find_peaks(freqs, mags, min_prominence=DEFAULT_MIN_PROMINENCE_NM,
     """Local maxima of a magnitude spectrum, strongest first.
 
     Prominence is measured as in peak_prominences. Peaks above max_freq_hz
-    are dropped; an empty list is a valid result.
+    are dropped; an empty list is a valid result. Only the maxima that can
+    pass are walked: a valley is never below the spectrum's minimum, so a
+    peak less than min_prominence above that minimum cannot qualify.
+    Non-finite data raise DataError; max_freq_hz may be +inf (no cut).
     """
-    if min_prominence <= 0:
-        raise ParameterError("min_prominence must be positive")
+    if not (math.isfinite(min_prominence) and min_prominence > 0):
+        raise ParameterError("min_prominence must be finite and positive")
+    if math.isnan(max_freq_hz):
+        raise ParameterError("max_freq_hz must not be NaN")
     freqs = np.asarray(freqs, dtype=float)
     mags = np.asarray(mags, dtype=float)
-    idx, prom = peak_prominences(mags)
-    keep = ~(freqs[idx] > max_freq_hz) & (prom >= min_prominence)
+    if not (np.isfinite(freqs).all() and np.isfinite(mags).all()):
+        raise DataError("spectrum frequencies and magnitudes must be finite")
+    idx = _local_maxima(mags)
+    if idx.size:
+        idx = idx[~(freqs[idx] > max_freq_hz)
+                  & ~(mags[idx] - mags.min() < min_prominence)]
+    prom = _prominences(mags, idx)
+    keep = prom >= min_prominence
     idx, prom = idx[keep], prom[keep]
     order = np.argsort(-mags[idx], kind="stable")
     return [SpectralPeak(f, a, p) for f, a, p in

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbgvib import WavelengthTrace, events, filtering, shape, spectral, sweep
+from fbgvib import WavelengthTrace, events, filtering, shape, spectral, sweep, vib_model
 from fbgvib.cli import build_parser, main
 from fbgvib.dataio import CONFIG_KEYS, parse_trace_csv, tips_csv_text, write_trace_csv
 
@@ -191,6 +191,49 @@ def test_sweep_with_fewer_than_ten_points_is_usage_error(tmp_path, capsys, bound
                            "--out", str(out_csv))
     assert status == 2 and out == ""
     assert err.splitlines() == ["error: --points must be at least 10"]
+    assert not out_csv.exists()
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory, params):
+    """Three recorded rates, rpm_<value>.csv, for sweep --from-dir."""
+    directory = tmp_path_factory.mktemp("sweep_dir")
+    for rpm in (240.0, 480.0, 960.0):
+        scenario = vib_model.Scenario(rpm=rpm, duration_s=100.0, sample_rate_hz=200.0,
+                                      noise_sigma_nm=0.0, harmonic_weights=(1.0,))
+        write_trace_csv(directory / f"rpm_{rpm:.0f}.csv",
+                        vib_model.simulate(scenario, params, seed=int(rpm)))
+    return directory
+
+
+@pytest.mark.parametrize("settings", [[], ["--seed", "4", "--duration", "99",
+                                           "--sample-rate", "250", "--noise", "0.1"]],
+                         ids=["plain", "simulation-settings"])
+def test_sweep_from_dir_writes_the_ingested_report(tmp_path, capsys, params, sweep_dir,
+                                                   settings):
+    # The simulation settings are config keys shared by every command; the
+    # files fix the data, so they change nothing here.
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--from-dir", str(sweep_dir), *settings,
+                           "--out", str(out_csv))
+    assert status == 0 and err == ""
+    report = sweep.ingest_sweep_dir(sweep_dir, params)
+    assert out_csv.read_text() == sweep.report_csv_text(report)
+    assert out == sweep.summary_text(report)
+
+
+@pytest.mark.parametrize("grid", [["--preset", "paper"], ["--preset", "nosuch"],
+                                  ["--rpm-min", "100"], ["--rpm-max", "200"],
+                                  ["--points", "12"]],
+                         ids=["preset", "unknown-preset", "rpm-min", "rpm-max", "points"])
+def test_sweep_from_dir_with_a_grid_option_is_usage_error(tmp_path, capsys, sweep_dir,
+                                                          grid):
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--from-dir", str(sweep_dir), *grid,
+                           "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert err.splitlines() == [f"error: --from-dir takes its rpm grid from the files; "
+                                f"drop {grid[0]}"]
     assert not out_csv.exists()
 
 

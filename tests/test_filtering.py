@@ -55,6 +55,50 @@ def test_unstable_section_rejected_at_construction():
         BiquadSection(1.0, 0.0, 0.0, -2.2, 1.21)  # poles outside unit circle
 
 
+def fresh_pole_radius(section):
+    poles = np.roots([1.0, section.a1, section.a2])
+    return float(np.max(np.abs(poles))) if poles.size else 0.0
+
+
+@pytest.mark.parametrize("sample_rate_hz", [250.0, 1000.0, 4000.0])
+def test_pole_radius_equals_a_fresh_root_finding_bit_for_bit(sample_rate_hz):
+    sections = [design_lowpass(cutoff, sample_rate_hz).sections[0]
+                for cutoff in (0.05, 1.0, 20.0)]
+    for rpm in (24.0, 240.0, 960.0, 2400.0):
+        for bandwidth_hz in (None, 0.2, 1.5):
+            sections += design_bandstop(rpm / 60.0, bandwidth_hz=bandwidth_hz,
+                                        sample_rate_hz=sample_rate_hz).sections
+    for s in sections:
+        assert s.pole_radius() == fresh_pole_radius(s)
+
+
+def test_filtering_finds_no_roots_once_the_spec_exists(monkeypatch):
+    specs = [design_bandstop(4.0, sample_rate_hz=FS), design_lowpass(0.05, FS)]
+    x = np.sin(np.arange(3000) * 0.02)
+    expected = [apply_zero_phase(spec, x) for spec in specs]
+
+    def no_roots(*args, **kwargs):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", no_roots)
+    for spec, y in zip(specs, expected):
+        assert np.array_equal(apply_zero_phase(spec, x), y)
+
+
+def test_equal_designs_share_their_sections():
+    first = design_bandstop(4.0, sample_rate_hz=FS)
+    again = design_bandstop(4.0, sample_rate_hz=FS)
+    assert again == first
+    assert all(a is b for a, b in zip(again.sections, first.sections))
+
+
+@pytest.mark.parametrize("fundamental", [np.float64(4.0), np.array(4.0)],
+                         ids=["float64", "0-d array"])
+def test_numpy_scalar_fundamental_designs_the_same_cascade(fundamental):
+    assert design_bandstop(fundamental, sample_rate_hz=FS) == design_bandstop(
+        4.0, sample_rate_hz=FS)
+
+
 def test_lowpass_minus_3db_at_cutoff():
     spec = design_lowpass(10.0, FS)
     assert abs(spec.response(10.0)) == pytest.approx(1 / np.sqrt(2), rel=1e-6)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from fbgvib import (DataError, ParameterError, Scenario, default_params,
+from fbgvib import (DataError, ParameterError, Scenario, SpectralPeak, default_params,
                     features_from_spectrum, find_peaks, identify_features,
-                    magnitude_spectrum, simulate)
-from fbgvib.spectral import fft_forward, spectrum_rows
+                    magnitude_spectrum, simulate, spectral)
+from fbgvib.spectral import _window_values, fft_forward, peak_prominences, spectrum_rows
 
 from oracles import naive_dft
 
@@ -153,6 +153,67 @@ def test_max_freq_restriction():
     freqs, mags = magnitude_spectrum(x, fs)
     peaks = find_peaks(freqs, mags, 0.01, max_freq_hz=40.0)
     assert [round(p.frequency_hz, 6) for p in peaks] == [2.0]
+
+
+@pytest.mark.parametrize("where", ["freqs", "mags"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_spectrum_is_a_data_error(where, bad):
+    freqs, mags = np.arange(40) * 0.1, np.sin(np.arange(40.0)) ** 2
+    {"freqs": freqs, "mags": mags}[where][7] = bad
+    with pytest.raises(DataError, match="finite"):
+        find_peaks(freqs, mags, 0.01)
+    with pytest.raises(DataError):
+        features_from_spectrum(freqs, mags)
+
+
+@pytest.mark.parametrize("settings", [{"max_freq_hz": np.nan}, {"min_prominence": np.nan},
+                                      {"min_prominence": np.inf}])
+def test_nan_cut_or_non_finite_prominence_is_a_parameter_error(settings):
+    freqs, mags = np.arange(40) * 0.1, np.sin(np.arange(40.0)) ** 2
+    with pytest.raises(ParameterError):
+        find_peaks(freqs, mags, **settings)
+    with pytest.raises(ParameterError):
+        features_from_spectrum(freqs, mags, **settings)
+
+
+def full_walk_peaks(freqs, mags, min_prominence=spectral.DEFAULT_MIN_PROMINENCE_NM,
+                    max_freq_hz=spectral.DEFAULT_MAX_FREQ_HZ):
+    """find_peaks as it was before the walk was pruned: every local maximum
+    gets its prominence, and the cut and the threshold apply afterwards."""
+    idx, prom = peak_prominences(mags)
+    keep = ~(freqs[idx] > max_freq_hz) & (prom >= min_prominence)
+    idx, prom = idx[keep], prom[keep]
+    order = np.argsort(-mags[idx], kind="stable")
+    return [SpectralPeak(float(freqs[i]), float(mags[i]), float(p))
+            for i, p in zip(idx[order], prom[order])]
+
+
+def test_pruned_walk_matches_the_full_walk_on_a_stepped_window(params, monkeypatch):
+    # One monitor window: 10 s at 240 rpm with a 0.45 nm collision step.
+    trace = simulate(Scenario(rpm=240.0, duration_s=10.0), params, seed=13)
+    x = trace.channel(0) + 0.45 * (np.arange(trace.n_samples) >= 5200)
+    freqs, mags = magnitude_spectrum(x - x.mean(), 1000.0, window="hann")
+    peaks = find_peaks(freqs, mags)
+    assert peaks == full_walk_peaks(freqs, mags)
+    # Most maxima are pruned before the walk; a few pass.
+    maxima, _ = peak_prominences(mags)
+    assert 0 < len(peaks) < maxima.size // 10
+    features = identify_features(x, 1000.0, rpm_hint=240.0)
+    monkeypatch.setattr(spectral, "find_peaks", full_walk_peaks)
+    assert identify_features(x, 1000.0, rpm_hint=240.0) == features
+
+
+def test_window_values_are_shared_and_read_only():
+    w = _window_values("hann", 64)
+    assert _window_values("hann", 64) is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+
+
+def test_unknown_window_rejected():
+    with pytest.raises(ParameterError, match="unknown window"):
+        magnitude_spectrum(np.ones(8), 1000.0, window="hamming")
 
 
 # --- feature identification ----------------------------------------------

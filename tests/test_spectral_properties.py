@@ -5,7 +5,8 @@ The references are `oracles.naive_dft` (the defining sum),
 `oracles.walk_find_peaks` and `oracles.walk_sweep_peak_indices` (the
 sample-by-sample valley walks the spectral and sweep modules first used).
 Magnitudes are small integers times a scale, so ties, plateaus and equal
-valleys occur often.
+valleys occur often; the spectral ones may be negative or of mixed sign,
+which exercises find_peaks' pruning bound (height minus the array minimum).
 """
 
 import math
@@ -33,7 +34,7 @@ def quantised(draw, min_size=0, max_size=80, low=0):
 
 
 @settings(max_examples=300, deadline=None)
-@given(levels=quantised(),
+@given(levels=st.integers(-8, 0).flatmap(lambda low: quantised(low=low)),
        scale=st.sampled_from([1.0, 0.01]),
        prominence_steps=st.sampled_from([0.5, 1.0, 1.5, 2.5]),
        bin_hz=st.sampled_from([0.1, 0.5]),
