@@ -7,6 +7,7 @@ cascades, reconstructs the planar shape, flags collision-like level
 shifts, and identifies system resonances from rpm sweeps.
 """
 
+from .dataio import WavelengthTrace
 from .errors import (DataError, ParameterError, ParseError, SensingError,
                      UndampedResonanceError)
 from .events import EventReport, StepEvent, detect_steps
@@ -19,11 +20,10 @@ from .spectral import (SpectralFeatures, SpectralPeak, features_from_spectrum,
                        find_peaks, identify_features, magnitude_spectrum)
 from .sweep import (ResonanceReport, analyze_sweep_points, default_rpm_grid,
                     ingest_sweep_dir, run_sweep, steady_amplitude)
-from .vib_model import (BendProfile, Scenario, TwoDofParams, WavelengthTrace,
-                        bend_curvature, calibrate_default_params,
-                        default_params, frf_amplitude, frf_response,
-                        output_amplitude, output_response, preset_scenario,
-                        simulate)
+from .vib_model import (BendProfile, Scenario, TwoDofParams, bend_curvature,
+                        calibrate_default_params, default_params, frf_amplitude,
+                        frf_response, output_amplitude, output_response,
+                        preset_scenario, simulate)
 
 __version__ = "0.1.0"
 

@@ -91,21 +91,25 @@ def _cmd_simulate(args):
 
 
 def _single_fiber(path, fiber):
-    traces = dataio.parse_trace_csv(path)
-    for trace in traces:
+    for trace in dataio.parse_trace_csv(path):
         if trace.labels[0][0] == fiber:
             return trace
     raise ParameterError(f"no fiber {fiber} in {path}")
 
 
+def _single_area(path, fiber, aa):
+    """The trace of ``fiber`` and its channel labelled area ``aa``."""
+    trace = _single_fiber(path, fiber)
+    if (fiber, aa) not in trace.labels:
+        raise ParameterError(f"no area {aa} of fiber {fiber} in {path}")
+    return trace, trace.channel(trace.labels.index((fiber, aa)))
+
+
 def _cmd_analyze(args):
-    trace = _single_fiber(args.trace, args.fiber)
-    channel = trace.channel(args.aa)
-    freqs, mags = spectral.magnitude_spectrum(
-        channel - channel.mean(), trace.sample_rate_hz, window=args.window)
+    trace, channel = _single_area(args.trace, args.fiber, args.aa)
+    freqs, mags = spectral.channel_spectrum(channel, trace.sample_rate_hz, args.window)
     features = spectral.features_from_spectrum(
-        freqs, mags,
-        rpm_hint=args.rpm_hint, shape_cutoff_hz=args.shape_cutoff_hz,
+        freqs, mags, rpm_hint=args.tool_velocity_rpm, shape_cutoff_hz=args.shape_cutoff_hz,
         min_prominence=args.min_prominence_nm, max_freq_hz=args.max_freq_hz)
     if args.out:
         dataio.atomic_write_text(args.out, spectral.spectrum_rows(freqs, mags))
@@ -135,7 +139,7 @@ def _cmd_filter(args):
         channels = np.column_stack([
             filtering.apply_zero_phase(spec, trace.channel(i))
             for i in range(trace.channels.shape[1])])
-        filtered.append(vib_model.WavelengthTrace(
+        filtered.append(dataio.WavelengthTrace(
             sample_rate_hz=trace.sample_rate_hz, channels=channels,
             t0=trace.t0, labels=trace.labels))
     if args.save_spec:
@@ -173,9 +177,9 @@ def _cmd_shape(args):
 
 
 def _cmd_detect(args):
-    trace = _single_fiber(args.trace, args.fiber)
+    trace, channel = _single_area(args.trace, args.fiber, args.aa)
     report = events.detect_steps(
-        trace.channel(args.aa), threshold_nm=args.threshold_nm, drift_nm=args.drift_nm,
+        channel, threshold_nm=args.threshold_nm, drift_nm=args.drift_nm,
         window_s=args.window_s, sample_rate_hz=trace.sample_rate_hz, t0=trace.t0)
     dataio.atomic_write_text(args.out, events.events_csv_text(report))
     print(f"events={len(report.events)}")
@@ -257,7 +261,7 @@ def build_parser(config=None):
     setting(p, "--duration", "duration_s", 10.0, help="seconds")
     setting(p, "--sample-rate", "sample_rate_hz", 1000.0, help="Hz")
     setting(p, "--noise", "noise_sigma_nm", 0.002, help="sigma, nm")
-    setting(p, "--base", "base_wavelength_nm", 1535.3, help="base wavelength, nm")
+    setting(p, "--base", "base_wavelength_nm", shape.DEFAULT_BASE_NM, help="base wavelength, nm")
     p.add_argument("--bend", help="e.g. pull=60,release=60,cable_speed=0.1")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate, model=model, bend_defaults=bend)
@@ -268,7 +272,7 @@ def build_parser(config=None):
     p.add_argument("--fiber", type=int, default=0)
     p.add_argument("--aa", type=int, default=0)
     p.add_argument("--window", choices=spectral.WINDOWS, default="hann")
-    p.add_argument("--rpm-hint", type=_finite_float, default=None)
+    setting(p, "--rpm-hint", "tool_velocity_rpm")
     setting(p, "--max-freq", "max_freq_hz", spectral.DEFAULT_MAX_FREQ_HZ)
     setting(p, "--prominence", "min_prominence_nm", spectral.DEFAULT_MIN_PROMINENCE_NM)
     p.add_argument("--out", default=None, help="spectrum CSV path")

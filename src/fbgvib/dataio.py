@@ -1,4 +1,4 @@
-"""Interrogator-style CSV ingestion/emission and run configuration.
+"""The wavelength trace, its interrogator-style CSV form, and run configuration.
 
 Trace files carry one row per (sample, active area) with the header
 ``time_s,fiber,aa,wavelength_nm``. Column names embed units to keep nm and
@@ -15,11 +15,11 @@ import os
 import re
 import string
 import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
-from .vib_model import WavelengthTrace
+from .errors import DataError, ParameterError, ParseError
 
 TRACE_HEADER = "time_s,fiber,aa,wavelength_nm"
 
@@ -34,6 +34,37 @@ RATE_TOLERANCE = 1e-6  # relative spread allowed between sample intervals
 TIME_DECIMALS = 6  # digits after the point of a trace file's times
 
 _WRITE_CHARS = 1 << 20  # characters encoded and written at a time
+
+
+@dataclass(frozen=True)
+class WavelengthTrace:
+    """Uniformly sampled Bragg wavelengths, one column per active area."""
+
+    sample_rate_hz: float
+    channels: np.ndarray  # (n_samples, n_channels), nm
+    t0: float = 0.0
+    labels: tuple = ((0, 0), (0, 1), (0, 2))  # (fiber, active area)
+
+    def __post_init__(self):
+        ch = np.asarray(self.channels, dtype=float)
+        if ch.ndim != 2 or ch.shape[0] < 1:
+            raise DataError("channels must be a 2-D array with at least one sample")
+        if len(self.labels) != ch.shape[1]:
+            raise DataError("one (fiber, aa) label per channel is required")
+        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
+            raise ParameterError("sample_rate_hz must be finite and positive")
+        object.__setattr__(self, "channels", ch)
+        object.__setattr__(self, "labels", tuple((int(f), int(a)) for f, a in self.labels))
+
+    @property
+    def n_samples(self):
+        return self.channels.shape[0]
+
+    def times(self):
+        return self.t0 + np.arange(self.n_samples) / self.sample_rate_hz
+
+    def channel(self, index):
+        return self.channels[:, index]
 
 
 def atomic_write_text(path, text):

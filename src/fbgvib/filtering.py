@@ -273,8 +273,7 @@ def apply_zero_phase(spec, x):
 
 def save_filter_spec(path, spec):
     """Write one section per line: b0 b1 b2 a1 a2 (full double precision)."""
-    lines = []
-    for s in spec.sections:
-        lines.append(" ".join(f"{v:.17e}" for v in (s.b0, s.b1, s.b2, s.a1, s.a2)))
+    lines = [" ".join(f"{v:.17e}" for v in (s.b0, s.b1, s.b2, s.a1, s.a2))
+             for s in spec.sections]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -19,6 +19,7 @@ from .errors import DataError, ParameterError, ParseError
 
 DEFAULT_SENSITIVITY_NM_PER_INVM = 13.0
 DEFAULT_BASE_NM = 1535.3
+POLYLINE_STEP_MM = 0.1  # longest step of a reconstructed centerline
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class ShapeEstimate:
     tip_mm: tuple  # (x_mm, z_mm)
 
 
-def reconstruct(curvatures_inv_m, geometry=CmGeometry(), polyline_step_mm=0.1):
+def reconstruct(curvatures_inv_m, geometry=CmGeometry()):
     """Compose one circular arc per segment into a centerline and tip.
 
     The straight pose maps to tip (0, length_mm); curvature is exact in the
@@ -127,7 +128,7 @@ def reconstruct(curvatures_inv_m, geometry=CmGeometry(), polyline_step_mm=0.1):
     rows = [(0.0, 0.0, 0.0)]
     s = x = z = theta = 0.0
     for k, ell in zip(kappa / 1000.0, seg_lengths):
-        n_steps = max(1, int(np.ceil(ell / polyline_step_mm)))
+        n_steps = max(1, int(np.ceil(ell / POLYLINE_STEP_MM)))
         ds = ell / n_steps
         for _ in range(n_steps):
             x, z, theta = _arc_step(x, z, theta, k, ds)
@@ -187,7 +188,7 @@ def calibration_csv_text(model):
 
 
 def load_calibration(path):
-    """Read a calibration CSV written by calibration_csv_text."""
+    """Read a calibration CSV: each area once, with finite values."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != "aa_index,base_wavelength_nm,sensitivity_nm_per_invm":
@@ -200,13 +201,16 @@ def load_calibration(path):
         if len(parts) != 3:
             raise ParseError("expected aa_index,base,sensitivity", line=lineno)
         try:
-            idx = int(parts[0])
-            bases[idx] = float(parts[1])
-            sens[idx] = float(parts[2])
+            idx, base, gain = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    if sorted(bases) != list(range(len(bases))):
-        raise ParseError("active-area indices must be 0..n-1")
+        if idx in bases:
+            raise ParseError(f"active area {idx} is listed twice", line=lineno)
+        if not (math.isfinite(base) and math.isfinite(gain)):
+            raise ParseError("base and sensitivity must be finite", line=lineno)
+        bases[idx], sens[idx] = base, gain
     order = sorted(bases)
+    if order != list(range(len(bases))):
+        raise ParseError("active-area indices must be 0..n-1")
     return CalibrationModel(tuple(bases[i] for i in order),
                             tuple(sens[i] for i in order))

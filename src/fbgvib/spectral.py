@@ -27,6 +27,8 @@ DEFAULT_SHAPE_CUTOFF_HZ = 0.05
 DEFAULT_MAX_FREQ_HZ = 40.0
 #: Minimum peak prominence (nm); five times the simulator noise floor.
 DEFAULT_MIN_PROMINENCE_NM = 0.01
+#: Highest integer multiple of the fundamental sought among the peaks.
+MAX_HARMONIC = 5
 
 
 def fft_forward(x):
@@ -194,26 +196,26 @@ class SpectralFeatures:
             raise DataError("base frequency must lie below the fundamental")
 
 
-def identify_features(x, sample_rate_hz, window="hann", **settings):
-    """Extract base frequency, fundamental, and harmonics from one channel.
-
-    The channel mean is removed before the transform so the large static
-    wavelength does not leak into the shape band; the spectrum then goes
-    to features_from_spectrum, with ``settings`` as its keywords.
-    """
+def channel_spectrum(x, sample_rate_hz, window="hann"):
+    """magnitude_spectrum of one channel with its mean removed, so the
+    large static wavelength does not leak into the shape band."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("channel must be a non-empty 1-D array")
-    freqs, mags = magnitude_spectrum(x - x.mean(), sample_rate_hz, window=window)
-    return features_from_spectrum(freqs, mags, **settings)
+    return magnitude_spectrum(x - x.mean(), sample_rate_hz, window=window)
+
+
+def identify_features(x, sample_rate_hz, window="hann", **settings):
+    """Base frequency, fundamental, and harmonics of one channel: its channel_spectrum
+    through features_from_spectrum, with ``settings`` as the latter's keywords."""
+    return features_from_spectrum(*channel_spectrum(x, sample_rate_hz, window), **settings)
 
 
 def features_from_spectrum(freqs, mags, rpm_hint=None,
                            shape_cutoff_hz=DEFAULT_SHAPE_CUTOFF_HZ,
                            min_prominence=DEFAULT_MIN_PROMINENCE_NM,
-                           max_freq_hz=DEFAULT_MAX_FREQ_HZ,
-                           max_harmonic=5):
-    """Features from a magnitude_spectrum of a mean-removed channel.
+                           max_freq_hz=DEFAULT_MAX_FREQ_HZ):
+    """Features from a channel_spectrum.
 
     The base frequency is the strongest peak at or below shape_cutoff_hz;
     the fundamental is the strongest peak above it, snapped to
@@ -243,7 +245,7 @@ def features_from_spectrum(freqs, mags, rpm_hint=None,
         if abs(f0 - hinted) <= 2.0 * resolution:
             f0 = hinted
     harmonics, amplitudes = [], []
-    for m in range(2, max_harmonic + 1):
+    for m in range(2, MAX_HARMONIC + 1):
         target = m * f0
         match = min((p for p in peaks if abs(p.frequency_hz - target) <= resolution),
                     key=lambda p: abs(p.frequency_hz - target), default=None)

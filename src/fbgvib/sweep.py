@@ -20,11 +20,11 @@ import numpy as np
 from .dataio import csv_text, parse_trace_csv
 from .errors import DataError, ParameterError
 from .filtering import apply_zero_phase, design_lowpass, transient_samples
-from .spectral import peak_prominences
+from .spectral import DEFAULT_SHAPE_CUTOFF_HZ, peak_prominences
 from .vib_model import frf_amplitude, simulate
 
+#: Leading share of each record dropped as the start-up transient.
 DEFAULT_DISCARD_FRACTION = 0.2
-DEFAULT_SHAPE_CUTOFF_HZ = 0.05
 
 #: A sweep peak must rise above this fraction of the largest amplitude.
 PEAK_PROMINENCE_RATIO = 0.05
@@ -41,25 +41,26 @@ SENSOR_DOMINANT = "sensor-dominant"
 MANIPULATOR_DOMINANT = "manipulator-dominant"
 
 
-def steady_amplitude(x, sample_rate_hz, discard_fraction=DEFAULT_DISCARD_FRACTION,
-                     shape_cutoff_hz=DEFAULT_SHAPE_CUTOFF_HZ,
-                     expected_fundamental_hz=None):
+def _shape_lowpass(sample_rate_hz):
+    """The shape-removal low-pass and its settle margin in samples."""
+    lowpass = design_lowpass(DEFAULT_SHAPE_CUTOFF_HZ, sample_rate_hz)
+    return lowpass, transient_samples(lowpass, n_time_constants=SETTLE_TIME_CONSTANTS)
+
+
+def steady_amplitude(x, sample_rate_hz, expected_fundamental_hz=None):
     """Half the peak-to-peak oscillation after shape removal (nm).
 
-    The leading discard_fraction of the record is dropped, the slow shape
-    component is subtracted with a zero-phase low-pass, the low-pass settle
-    margin is trimmed from both ends of the residual, and the remaining
-    half peak-to-peak is returned. When the expected fundamental is known
-    the trimmed record must keep at least three of its periods.
+    The leading DEFAULT_DISCARD_FRACTION of the record is dropped, the slow
+    shape component is subtracted with a zero-phase low-pass, the low-pass
+    settle margin is trimmed from both ends of the residual, and the
+    remaining half peak-to-peak is returned. When the expected fundamental
+    is known the trimmed record must keep at least three of its periods.
     """
-    if not (0.0 <= discard_fraction < 1.0):
-        raise ParameterError("discard_fraction must lie in [0, 1)")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise DataError("channel must be 1-D with at least two samples")
-    y = x[int(round(discard_fraction * x.shape[0])):]
-    lowpass = design_lowpass(shape_cutoff_hz, sample_rate_hz)
-    settle = transient_samples(lowpass, n_time_constants=SETTLE_TIME_CONSTANTS)
+    y = x[int(round(DEFAULT_DISCARD_FRACTION * x.shape[0])):]
+    lowpass, settle = _shape_lowpass(sample_rate_hz)
     residual = y - apply_zero_phase(lowpass, y)
     if residual.shape[0] <= 2 * settle + 2:
         raise DataError("record too short for the shape-removal settle margin")
@@ -153,8 +154,7 @@ def default_rpm_grid(low=10.0, high=2400.0, n_points=40):
     return tuple(float(r) for r in np.geomspace(low, high, n_points))
 
 
-def run_sweep(rpms, template, params, seed=0,
-              discard_fraction=DEFAULT_DISCARD_FRACTION):
+def run_sweep(rpms, template, params, seed=0):
     """Simulate one trace per tool rate and identify the resonances.
 
     Per-rate scenarios extend the template duration so at least three
@@ -172,18 +172,15 @@ def run_sweep(rpms, template, params, seed=0,
         raise ParameterError("rpm values must be strictly increasing")
     if rpm_list[0] <= 0:
         raise ParameterError("rpm values must be positive")
-    lowpass = design_lowpass(DEFAULT_SHAPE_CUTOFF_HZ, template.sample_rate_hz)
-    settle_s = (transient_samples(lowpass, n_time_constants=SETTLE_TIME_CONSTANTS)
-                / template.sample_rate_hz)
+    settle_s = _shape_lowpass(template.sample_rate_hz)[1] / template.sample_rate_hz
     points = []
     for i, rpm in enumerate(rpm_list):
-        needed_s = (3.0 * (60.0 / rpm) + 2.0 * settle_s) / (1.0 - discard_fraction)
+        needed_s = (3.0 * (60.0 / rpm) + 2.0 * settle_s) / (1.0 - DEFAULT_DISCARD_FRACTION)
         scenario = replace(template, rpm=rpm,
                            duration_s=max(template.duration_s, 1.25 * needed_s),
                            harmonic_weights=(template.harmonic_weights[0],))
         trace = simulate(scenario, params, seed=seed + i)
         amp = steady_amplitude(trace.channel(0), scenario.sample_rate_hz,
-                               discard_fraction=discard_fraction,
                                expected_fundamental_hz=rpm / 60.0)
         points.append((rpm, amp))
     return analyze_sweep_points(points, params)
@@ -192,7 +189,7 @@ def run_sweep(rpms, template, params, seed=0,
 _RPM_FILE = re.compile(r"rpm_([0-9]+(?:\.[0-9]+)?)\.csv$")
 
 
-def ingest_sweep_dir(directory, params, discard_fraction=DEFAULT_DISCARD_FRACTION):
+def ingest_sweep_dir(directory, params):
     """Build a report from a directory of per-rate trace CSVs (rpm_<value>.csv)."""
     directory = Path(directory)
     entries = []
@@ -207,7 +204,6 @@ def ingest_sweep_dir(directory, params, discard_fraction=DEFAULT_DISCARD_FRACTIO
     for rpm, path in entries:
         trace = parse_trace_csv(path)[0]
         amp = steady_amplitude(trace.channel(0), trace.sample_rate_hz,
-                               discard_fraction=discard_fraction,
                                expected_fundamental_hz=rpm / 60.0)
         points.append((rpm, amp))
     return analyze_sweep_points(points, params)

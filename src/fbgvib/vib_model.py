@@ -15,7 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .dataio import BAND_NM, WavelengthTrace
 from .errors import DataError, ParameterError, UndampedResonanceError
+from .shape import DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 
 #: Tool rotation range covered by the bench hardware (rev/min).
 RPM_MAX = 2400.0
@@ -34,7 +36,7 @@ class TwoDofParams:
     The stiffness chain is ground --k1-- m1 --k2-- m2; each damper acts
     between its own coordinate and ground, which keeps the high-frequency
     transmission into the sensor governed by the soft coupling spring alone.
-    Gains convert coordinate displacement (m) into wavelength shift (nm).
+    gain2 converts sensor displacement (m) into wavelength shift (nm).
     """
 
     m1: float
@@ -44,7 +46,6 @@ class TwoDofParams:
     c1: float = 0.0
     c2: float = 0.0
     unbalance_me: float = DEFAULT_UNBALANCE_ME
-    gain1: float = 0.0
     gain2: float = 1.0
 
     def __post_init__(self):
@@ -71,9 +72,7 @@ class TwoDofParams:
         return tuple(np.sqrt(lam) / (2.0 * np.pi))
 
 
-def calibrate_default_params(f1_hz, f2_hz, mass_ratio, damping_ratio,
-                             unbalance_me=DEFAULT_UNBALANCE_ME,
-                             gain1=0.0, gain2=1.0):
+def calibrate_default_params(f1_hz, f2_hz, mass_ratio, damping_ratio):
     """Solve stiffnesses so the undamped modes land on the given targets.
 
     With m1 = 1 kg and m2 = mass_ratio, the two stiffnesses follow from the
@@ -108,8 +107,7 @@ def calibrate_default_params(f1_hz, f2_hz, mass_ratio, damping_ratio,
     k1 = lam1 * lam2 * m1 * m2 / k2
     c1 = 2.0 * damping_ratio * m1 * np.sqrt(lam2)
     c2 = 2.0 * damping_ratio * m2 * np.sqrt(lam1)
-    return TwoDofParams(m1=m1, m2=m2, k1=k1, k2=k2, c1=c1, c2=c2,
-                        unbalance_me=unbalance_me, gain1=gain1, gain2=gain2)
+    return TwoDofParams(m1=m1, m2=m2, k1=k1, k2=k2, c1=c1, c2=c2)
 
 
 def frf_response(params, forcing_hz):
@@ -144,9 +142,9 @@ def frf_amplitude(params, forcing_hz):
 
 
 def output_response(params, forcing_hz):
-    """Complex wavelength-shift phasor gain1 * x1 + gain2 * x2 (nm)."""
-    x1, x2 = frf_response(params, forcing_hz)
-    return params.gain1 * x1 + params.gain2 * x2
+    """Complex wavelength-shift phasor gain2 * x2 (nm). Adding 0.0 turns an
+    imaginary -0.0 into +0.0: an undamped negative phasor has phase +pi."""
+    return params.gain2 * frf_response(params, forcing_hz)[1] + 0.0
 
 
 def output_amplitude(params, forcing_hz):
@@ -251,7 +249,7 @@ class Scenario:
     sample_rate_hz: float = 1000.0
     bend: BendProfile | None = None
     noise_sigma_nm: float = 0.002
-    base_wavelength_nm: tuple = (1535.3, 1535.3, 1535.3)
+    base_wavelength_nm: tuple = (DEFAULT_BASE_NM,) * 3
     harmonic_weights: tuple = (1.0, 0.15, 0.05)
 
     def __post_init__(self):
@@ -266,7 +264,10 @@ class Scenario:
         base = self.base_wavelength_nm
         if np.isscalar(base):
             base = (float(base),) * 3
-        object.__setattr__(self, "base_wavelength_nm", tuple(float(b) for b in base))
+        base = tuple(float(b) for b in base)
+        if not all(BAND_NM[0] <= b <= BAND_NM[1] for b in base):
+            raise ParameterError(f"base_wavelength_nm must lie within {BAND_NM} nm")
+        object.__setattr__(self, "base_wavelength_nm", base)
         if not self.harmonic_weights or self.harmonic_weights[0] <= 0:
             raise ParameterError("harmonic_weights must start with a positive fundamental weight")
         top = self.rpm / 60.0 * len(self.harmonic_weights)
@@ -292,58 +293,20 @@ def preset_scenario(name, duration_s=10.0, **overrides):
     return Scenario(duration_s=duration_s, **kwargs)
 
 
-@dataclass(frozen=True)
-class WavelengthTrace:
-    """Uniformly sampled Bragg wavelengths, one column per active area."""
-
-    sample_rate_hz: float
-    channels: np.ndarray  # (n_samples, n_channels), nm
-    t0: float = 0.0
-    labels: tuple = ((0, 0), (0, 1), (0, 2))  # (fiber, active area)
-
-    def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=float)
-        if ch.ndim != 2 or ch.shape[0] < 1:
-            raise DataError("channels must be a 2-D array with at least one sample")
-        if len(self.labels) != ch.shape[1]:
-            raise DataError("one (fiber, aa) label per channel is required")
-        if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
-            raise ParameterError("sample_rate_hz must be finite and positive")
-        object.__setattr__(self, "channels", ch)
-        object.__setattr__(self, "labels", tuple((int(f), int(a)) for f, a in self.labels))
-
-    @property
-    def n_samples(self):
-        return self.channels.shape[0]
-
-    def times(self):
-        return self.t0 + np.arange(self.n_samples) / self.sample_rate_hz
-
-    def channel(self, index):
-        return self.channels[:, index]
-
-
-def simulate(scenario, params, seed=0, sensitivities_nm_per_invm=None):
+def simulate(scenario, params, seed=0):
     """Generate a wavelength trace for one scenario.
 
     Each channel is base wavelength + bend-induced shift (curvature times
-    the per-area sensitivity, defaulting to the shape module's calibration
-    gain) + steady-state vibration at the tool rate and its modeled
-    multiples (scaled up while the cables are slack) + white noise.
-    Deterministic for a fixed (scenario, params, seed).
+    the shape module's default sensitivity) + steady-state vibration at
+    the tool rate and its modeled multiples (scaled up while the cables
+    are slack) + white noise. Deterministic for a fixed (scenario, params,
+    seed).
     """
-    # Imported here: shape imports dataio, which imports this module.
-    from .shape import DEFAULT_SENSITIVITY_NM_PER_INVM
-
     fs = scenario.sample_rate_hz
     n = int(round(scenario.duration_s * fs))
     if n < 1:
         raise ParameterError("duration_s too short for one sample")
     n_areas = len(scenario.base_wavelength_nm)
-    if sensitivities_nm_per_invm is None:
-        sensitivities_nm_per_invm = (DEFAULT_SENSITIVITY_NM_PER_INVM,) * n_areas
-    if len(sensitivities_nm_per_invm) != n_areas:
-        raise ParameterError("one sensitivity per active area is required")
     t = np.arange(n) / fs
 
     if scenario.bend is not None:
@@ -369,8 +332,8 @@ def simulate(scenario, params, seed=0, sensitivities_nm_per_invm=None):
 
     rng = np.random.default_rng(seed)
     channels = np.empty((n, n_areas))
+    shape_nm = DEFAULT_SENSITIVITY_NM_PER_INVM * curvature
     for i in range(n_areas):
-        shape_nm = sensitivities_nm_per_invm[i] * curvature
         channels[:, i] = scenario.base_wavelength_nm[i] + shape_nm + vibration
     if scenario.noise_sigma_nm > 0:
         channels += rng.normal(0.0, scenario.noise_sigma_nm, size=channels.shape)

@@ -545,6 +545,7 @@ SETTINGS = {
         (None, "slack_amplitude_scale", None, 2.0, None),
         (None, "slack_threshold_mm", None, 2.0, None)]),
     "analyze": (["t.csv"], [
+        ("--rpm-hint", "tool_velocity_rpm", "60", 240.0, None),
         ("--max-freq", "max_freq_hz", "30", 20.0, spectral.DEFAULT_MAX_FREQ_HZ),
         ("--prominence", "min_prominence_nm", "0.005", 0.02,
          spectral.DEFAULT_MIN_PROMINENCE_NM),
@@ -677,3 +678,79 @@ def test_non_finite_calibration_sensitivity_is_usage_error(tmp_path, capsys, val
     assert status == 2
     assert out == "" and len(err.strip().splitlines()) == 1
     assert not poly.exists()
+
+
+def area_trace(tmp_path, labels):
+    """A 10 s trace whose area k carries a line at k + 2 Hz."""
+    t = np.arange(10000) / 1000.0
+    lines_hz = [aa + 2.0 for _, aa in labels]
+    path = tmp_path / "areas.csv"
+    write_trace_csv(path, WavelengthTrace(
+        1000.0, 1535.3 + 0.05 * np.sin(2 * np.pi * np.outer(t, lines_hz)), labels=labels))
+    return path
+
+
+AREA_SETS = {"areas-0-2": ((0, 0), (0, 2)), "areas-0-1-2": ((0, 0), (0, 1), (0, 2))}
+
+
+@pytest.mark.parametrize("aa,line", [("0", "2.000000"), ("2", "4.000000")])
+def test_analyze_aa_is_the_area_label_not_the_column(tmp_path, capsys, aa, line):
+    path = area_trace(tmp_path, AREA_SETS["areas-0-2"])
+    status, out, _ = run(capsys, "analyze", str(path), "--aa", aa)
+    assert status == 0 and f"fundamental_hz={line}" in out.splitlines()
+
+
+def test_detect_aa_reads_the_labelled_area(tmp_path, capsys):
+    path, out = area_trace(tmp_path, AREA_SETS["areas-0-2"]), tmp_path / "e.csv"
+    status, _, _ = run(capsys, "detect", str(path), "--aa", "2", "--out", str(out))
+    trace = parse_trace_csv(path)[0]
+    report = events.detect_steps(trace.channel(1), sample_rate_hz=trace.sample_rate_hz)
+    assert status == 0 and out.read_text() == events.events_csv_text(report)
+
+
+@pytest.mark.parametrize("command", ["analyze", "detect"])
+@pytest.mark.parametrize("areas,aa", [("areas-0-2", "1"), ("areas-0-2", "3"), ("areas-0-2", "-1"),
+                                      ("areas-0-1-2", "3"), ("areas-0-1-2", "-1")])
+def test_an_area_the_trace_lacks_is_usage_error(tmp_path, capsys, command, areas, aa):
+    path, target = area_trace(tmp_path, AREA_SETS[areas]), tmp_path / "e.csv"
+    outputs = ["--out", str(target)] if command == "detect" else []
+    status, out, err = run(capsys, command, str(path), "--aa", aa, *outputs)
+    assert status == 2 and out == "" and not target.exists()
+    assert err.splitlines() == [f"error: no area {aa} of fiber 0 in {path}"]
+
+
+def test_calibration_repeating_an_area_is_usage_error(tmp_path, capsys):
+    trace, cal, poly = tmp_path / "t.csv", tmp_path / "cal.csv", tmp_path / "poly.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "3", "--out", str(trace))
+    cal.write_text("aa_index,base_wavelength_nm,sensitivity_nm_per_invm\n"
+                   "0,1535.3,13\n1,1535.3,13\n2,1535.3,13\n0,1536.0,13\n")
+    status, out, err = run(capsys, "shape", str(trace), "--calibration", str(cal),
+                           "--out", str(poly))
+    assert status == 2 and out == "" and not poly.exists()
+    assert err.splitlines() == ["error: line 5: active area 0 is listed twice"]
+
+
+def test_simulate_base_outside_the_band_is_refused_before_simulating(tmp_path, capsys,
+                                                                     monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(vib_model, "simulate", no_simulation)
+    target = tmp_path / "t.csv"
+    status, out, err = run(capsys, "simulate", "--rpm", "120", "--base", "1600",
+                           "--out", str(target))
+    assert status == 2 and out == "" and not target.exists()
+    assert err.splitlines() == ["error: base_wavelength_nm must lie within "
+                                "(1510.0, 1590.0) nm"]
+
+
+def test_analyze_snaps_to_the_config_tool_rate(tmp_path, capsys):
+    trace, cfg = tmp_path / "t.csv", tmp_path / "run.cfg"
+    run(capsys, "simulate", "--rpm", "121", "--duration", "10", "--out", str(trace))
+    cfg.write_text("tool_velocity_rpm = 121\n")
+    _, plain, _ = run(capsys, "analyze", str(trace))
+    _, hinted, _ = run(capsys, "analyze", str(trace), "--rpm-hint", "121")
+    status, configured, _ = run(capsys, "analyze", str(trace), "--config", str(cfg))
+    assert "fundamental_hz=2.000000" in plain.splitlines()
+    assert "fundamental_hz=2.016667" in hinted.splitlines()
+    assert status == 0 and configured == hinted

@@ -46,3 +46,30 @@ def test_every_name_the_benchmark_uses_exists():
                for name in names
                if not hasattr(importlib.import_module(f"fbgvib.{module}"), name)]
     assert missing == []
+
+
+def imports_the_package(node):
+    """Whether an AST node imports a module of fbgvib, relatively or by name."""
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").startswith("fbgvib")
+    return isinstance(node, ast.Import) and any(
+        alias.name.startswith("fbgvib") for alias in node.names)
+
+
+def test_no_function_imports_a_package_module():
+    # An import inside a function hides a cycle from the import order that
+    # test_module_imports_first_and_on_its_own checks; the layering is
+    # errors -> dataio -> shape -> vib_model, each imported at the top.
+    nested = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested |= {f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                           if imports_the_package(node)}
+    assert nested == set()
+
+
+def test_the_shape_cutoff_has_one_owner():
+    from fbgvib import spectral, sweep
+
+    assert sweep.DEFAULT_SHAPE_CUTOFF_HZ is spectral.DEFAULT_SHAPE_CUTOFF_HZ

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fbgvib import (CalibrationModel, CmGeometry, DataError, ParameterError,
+from fbgvib import (CalibrationModel, CmGeometry, DataError, ParameterError, ParseError,
                     default_calibration, fit_calibration, load_calibration,
                     reconstruct, tips_for_curvatures, wavelength_to_curvature)
 from fbgvib.shape import _arc_step, calibration_csv_text, shape_csv_text
@@ -224,3 +224,17 @@ def test_tip_is_one_arc_step_per_segment_to_the_bit():
             x, z, theta = _arc_step(x, z, theta, k, ell)
         tip = reconstruct(kappa, geometry).tip_mm
         assert [v.hex() for v in tip] == [float(x).hex(), float(z).hex()]
+
+
+@pytest.mark.parametrize("rows,line,message", [
+    ("0,1535.3,13\n1,1535.3,13\n0,1536.0,13\n", 4, "area 0 is listed twice"),
+    ("0,1535.3,13\n1,nan,13\n2,1535.3,13\n", 3, "must be finite"),
+    ("0,1535.3,13\n\n1,1535.3,-inf\n", 4, "must be finite"),
+    ("0,inf,13\n", 2, "must be finite"),
+], ids=["repeated-area", "nan-base", "infinite-sensitivity", "infinite-base"])
+def test_repeated_area_or_non_finite_value_names_its_line(tmp_path, rows, line, message):
+    path = tmp_path / "cal.csv"
+    path.write_text("aa_index,base_wavelength_nm,sensitivity_nm_per_invm\n" + rows)
+    with pytest.raises(ParseError, match=message) as info:
+        load_calibration(path)
+    assert info.value.line == line

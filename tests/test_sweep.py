@@ -38,11 +38,6 @@ def test_960rpm_matches_gain_scaled_frf(params):
     assert amp == pytest.approx(output_amplitude(params, 16.0), rel=0.02)
 
 
-def test_discard_fraction_validation():
-    with pytest.raises(ParameterError):
-        steady_amplitude(np.zeros(1000), FS, discard_fraction=1.0)
-
-
 def test_too_few_periods_rejected():
     t = np.arange(30000) / FS
     x = np.sin(2 * np.pi * 0.05 * t)

@@ -4,7 +4,8 @@ import pytest
 from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
                     TwoDofParams, UndampedResonanceError, WavelengthTrace,
                     bend_curvature, calibrate_default_params, default_params,
-                    frf_amplitude, output_amplitude, preset_scenario, simulate)
+                    frf_amplitude, output_amplitude, output_response, preset_scenario,
+                    simulate)
 
 from oracles import ode_steady_amplitudes
 
@@ -68,6 +69,15 @@ def test_undamped_resonance_raises():
     p = calibrate_default_params(1.0, 2.0, 0.5, 0.0)
     with pytest.raises(UndampedResonanceError):
         frf_amplitude(p, 1.0)
+
+
+def test_undamped_response_between_the_modes_has_phase_plus_pi():
+    # Undamped, the phasor is a negative real number between the modes; its
+    # imaginary zero must not carry a sign that turns the phase into -pi.
+    params = default_params(damping_ratio=0.0)
+    phases = {float(np.angle(output_response(params, m * rpm / 60.0)))
+              for rpm in range(25, 320) for m in (1, 2, 3) if 0.5 < m * rpm / 60.0 < 15.0}
+    assert phases == {np.pi}
 
 
 def test_two_local_maxima_on_swept_output(params):
@@ -161,6 +171,20 @@ def test_non_finite_or_negative_noise_rejected(sigma):
     # `nan > 0` is false: a NaN sigma would simulate a noise-free trace.
     with pytest.raises(ParameterError):
         Scenario(rpm=120.0, duration_s=1.0, noise_sigma_nm=sigma)
+
+
+@pytest.mark.parametrize("base", [float("nan"), float("inf"), 1509.9, 1600.0,
+                                  (1535.3, float("nan"), 1535.3)])
+def test_base_wavelength_outside_the_band_rejected(base):
+    # A NaN base used to simulate all-NaN channels without an error.
+    with pytest.raises(ParameterError, match="base_wavelength_nm"):
+        Scenario(rpm=60.0, duration_s=1.0, base_wavelength_nm=base)
+
+
+def test_base_wavelength_band_edges_accepted():
+    assert Scenario(rpm=60.0, duration_s=1.0,
+                    base_wavelength_nm=(1510.0, 1535.3, 1590.0)).base_wavelength_nm == (
+                        1510.0, 1535.3, 1590.0)
 
 
 def test_unknown_preset_rejected():
