@@ -338,7 +338,7 @@ def main(argv=None):
         if args.config:
             args = build_parser(dataio.parse_config(args.config)).parse_args(argv)
         return args.func(args)
-    except (SensingError, FileNotFoundError) as exc:
+    except (SensingError, FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except BrokenPipeError:

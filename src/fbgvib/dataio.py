@@ -47,8 +47,8 @@ class WavelengthTrace:
 
     def __post_init__(self):
         ch = np.asarray(self.channels, dtype=float)
-        if ch.ndim != 2 or ch.shape[0] < 1:
-            raise DataError("channels must be a 2-D array with at least one sample")
+        if ch.ndim != 2 or min(ch.shape) < 1:
+            raise DataError("channels must be a 2-D array of at least one sample and channel")
         if len(self.labels) != ch.shape[1]:
             raise DataError("one (fiber, aa) label per channel is required")
         if not (np.isfinite(self.sample_rate_hz) and self.sample_rate_hz > 0):
@@ -247,17 +247,17 @@ def _fixed_rows(pieces, chunk):
 def csv_text(header, row_format, columns):
     """The header line, then ``row_format.format(*row)`` for each row.
 
-    ``columns`` are equal-length 1-D sequences of numbers; ``row_format``
-    ends each row with a newline. Rows are formatted a chunk at a time.
-    When every field is ``{:.Nf}``, a chunk is formatted with array
-    arithmetic to the same bytes; other templates, and chunks holding
+    ``columns`` are equal-length 1-D sequences of numbers (else DataError);
+    ``row_format`` ends each row with a newline. Rows are formatted a chunk
+    at a time. When every field is ``{:.Nf}``, a chunk is formatted with
+    array arithmetic to the same bytes; other templates, and chunks holding
     non-finite or very large values, go through ``str.format`` on the
     chunk's values as Python floats.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    pieces = None
-    if all(c.ndim == 1 and c.shape == columns[0].shape for c in columns):
-        pieces = _fixed_template(row_format, len(columns))
+    if not all(c.ndim == 1 and c.shape == columns[0].shape for c in columns):
+        raise DataError("columns must be 1-D and of equal length")
+    pieces = _fixed_template(row_format, len(columns))
     parts = [header + "\n"]
     for start in range(0, columns[0].shape[0], CHUNK_ROWS):
         chunk = [c[start:start + CHUNK_ROWS] for c in columns]
@@ -273,27 +273,22 @@ def trace_csv_text(traces):
 
     Multiple traces are interleaved by sample instant and must share the
     same time axis. What parse_trace_csv would reject raises ParameterError:
-    non-finite times, labels outside FIBERS and AREAS, wavelengths that are
-    not finite or lie outside BAND_NM, and times that do not read back as
-    they print: printed with TIME_DECIMALS decimals, their spacing must be
-    uniform within RATE_TOLERANCE (so a period below 1 s must be a whole
-    number of microseconds: 3 Hz and 1024 Hz are refused), and the start
-    and rate read from them must give the same text again.
+    a sample that breaks a row rule of _bad_row, and times that do not read
+    back as they print: printed with TIME_DECIMALS decimals, their spacing
+    must be uniform within RATE_TOLERANCE (so a period below 1 s must be a
+    whole number of microseconds: 3 Hz and 1024 Hz are refused), and the
+    start and rate read from them must give the same text again.
     """
     if isinstance(traces, WavelengthTrace):
         traces = [traces]
     first = traces[0]
     times = first.times()
-    if not np.all(np.isfinite(times)):
-        raise ParameterError("trace times must be finite")
     for trace in traces:
-        if not all(f in FIBERS and aa in AREAS for f, aa in trace.labels):
-            raise ParameterError(f"trace labels must be (fiber, aa) with fiber in "
-                                 f"{FIBERS} and aa in {AREAS}, got {trace.labels}")
-        ch = trace.channels
-        if not np.all((BAND_NM[0] <= ch) & (ch <= BAND_NM[1])):
-            raise ParameterError(
-                f"trace wavelengths must be finite and inside the band {BAND_NM} nm")
+        for col, (fiber, aa) in enumerate(trace.labels):
+            bad = _bad_row(times, np.broadcast_to(fiber, times.shape),
+                           np.broadcast_to(aa, times.shape), trace.channels[:, col])
+            if bad:
+                raise ParameterError(f"area {aa} of fiber {fiber}, sample {bad[0]}: {bad[1]}")
     for other in traces[1:]:
         if other.n_samples != first.n_samples or not np.allclose(
                 other.times(), times, rtol=0, atol=1e-9):
@@ -325,12 +320,9 @@ def _reread_problem(times):
     or None: the printed times must pass its spacing check, and the start
     and rate it derives must print them again."""
     printed = _printed(times, TIME_DECIMALS)
-    rate = FALLBACK_SAMPLE_RATE_HZ
-    if times.shape[0] > 1:
-        dt, problem = _spacing(printed)
-        if problem:
-            return f"fail the reader's check: {problem}"
-        rate = 1.0 / dt
+    rate, problem = _rate(printed)
+    if problem:
+        return f"fail the reader's check: {problem}"
     again = _printed(printed[0] + np.arange(times.shape[0]) / rate, TIME_DECIMALS)
     if not (np.array_equal(again, printed)
             and np.array_equal(np.signbit(again), np.signbit(printed))):
@@ -349,66 +341,61 @@ def tips_csv_text(times, tips):
                     (times, tips[:, 0], tips[:, 1]))
 
 
-def _row_values(raw):
-    """(time, fiber, aa, wavelength) of one data line, checked alone."""
-    parts = raw.split(",")
-    if len(parts) != 4:
-        raise ParseError("expected 4 comma-separated fields")
-    try:
-        t = float(parts[0])
-        fiber = int(parts[1])
-        aa = int(parts[2])
-        wl = float(parts[3])
-    except ValueError:
-        raise ParseError(f"malformed row {raw!r}") from None
-    if fiber not in FIBERS:
-        raise ParseError(f"fiber must be 0 or 1, got {fiber}")
-    if aa not in AREAS:
-        raise ParseError(f"aa must be 0, 1, or 2, got {aa}")
-    if not (BAND_NM[0] <= wl <= BAND_NM[1]):
-        raise ParseError(f"wavelength {wl} nm outside the band {BAND_NM}")
-    if not math.isfinite(t):
-        raise ParseError(f"time must be finite, got {t}")
-    return t, fiber, aa, wl
-
-
-def _text_file(data):
-    """The file's bytes as ``open(path)`` reads them: the locale's encoding,
-    universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(data))
-
-
-def _check_header(data):
-    """ParseError on line 1 unless the first line, read as text and
-    stripped, is TRACE_HEADER."""
-    header = _text_file(data).readline()
-    if not header:
-        raise ParseError("empty file", line=1)
-    if header.strip() != TRACE_HEADER:
-        raise ParseError(f"expected header {TRACE_HEADER!r}", line=1)
+def _bad_row(t, fiber, aa, wl):
+    """``(index, message)`` of the first row that breaks a trace file's rules,
+    or None: fiber in FIBERS, aa in AREAS, wavelength inside BAND_NM, finite
+    time, time not below the row before; a row breaking several reports the
+    first. Every mask is built boolean: valid columns cost no float temporary."""
+    def outside(x, low, high):  # NaN too
+        return ~((low <= x) & (x <= high))
+    decreasing = np.zeros(t.shape, bool)
+    np.less(t[1:], t[:-1], out=decreasing[1:])
+    rules = ((outside(fiber, FIBERS[0], FIBERS[-1]),
+              lambda i: f"fiber must be 0 or 1, got {int(fiber[i])}"),
+             (outside(aa, AREAS[0], AREAS[-1]),
+              lambda i: f"aa must be 0, 1, or 2, got {int(aa[i])}"),
+             (outside(wl, *BAND_NM),
+              lambda i: f"wavelength {float(wl[i])} nm outside the band {BAND_NM}"),
+             (~np.isfinite(t), lambda i: f"time must be finite, got {float(t[i])}"),
+             (decreasing, lambda i: "time must be non-decreasing"))
+    firsts = [int(mask.argmax()) if mask.any() else t.shape[0] for mask, _ in rules]
+    i = min(firsts)
+    return None if i == t.shape[0] else (i, rules[firsts.index(i)][1](i))
 
 
 def _scan_rows(data):
-    """Check the data lines one by one; the first bad one raises ParseError.
-
-    The slow path of parse_trace_csv, taken when the fixed-layout reader
-    does not apply or its checks fail: it names the offending line, or
-    returns the columns (time, fiber, aa, wavelength) of a valid file in
-    any layout float() and int() read (e.g. one with blank lines).
-    """
-    lines = _text_file(data).read().splitlines()
-    rows = []
+    """Columns (time, fiber, aa, wavelength) of a file in any layout float()
+    and int() read, one line of its text at a time (e.g. one with blank
+    lines); the first line that is malformed or breaks a rule of _bad_row
+    raises ParseError naming it. The slow path of parse_trace_csv."""
+    lines = io.TextIOWrapper(io.BytesIO(data)).read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    if lines[0].strip() != TRACE_HEADER:
+        raise ParseError(f"expected header {TRACE_HEADER!r}", line=1)
+    rows, blanks, malformed = [], [], None
     for lineno, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
+            blanks.append(len(rows))  # a blank line before that row
             continue
+        parts = raw.split(",")
+        if len(parts) != 4:
+            malformed = ParseError("expected 4 comma-separated fields", line=lineno)
+            break
         try:
-            row = _row_values(raw)
-            if rows and row[0] < rows[-1][0]:
-                raise ParseError("time must be non-decreasing")
-        except ParseError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        rows.append(row)
-    return tuple(np.array(rows, dtype=float).reshape(-1, 4).T)
+            rows.append((float(parts[0]), int(parts[1]), int(parts[2]), float(parts[3])))
+        except ValueError:
+            malformed = ParseError(f"malformed row {raw!r}", line=lineno)
+            break
+    # Labels stay Python ints, so a message shows one of any size as read.
+    t, fiber, aa, wl = np.array(rows, dtype=object).reshape(-1, 4).T
+    t, wl = t.astype(float), wl.astype(float)
+    bad = _bad_row(t, fiber, aa, wl)
+    if bad:  # a row before the malformed line, if any
+        raise ParseError(bad[1], line=bad[0] + 2 + sum(b <= bad[0] for b in blanks))
+    if malformed:
+        raise malformed
+    return t, fiber, aa, wl
 
 
 #: One data line as the trace writer prints it: time and wavelength as
@@ -502,15 +489,6 @@ def _fixed_columns(data, start):
     return tuple(columns)
 
 
-def _rows_valid(t, fiber, aa, wl):
-    """Vectorised form of the per-line checks in _row_values and _scan_rows,
-    for columns of finite values such as _fixed_columns reads."""
-    return bool(np.all((FIBERS[0] <= fiber) & (fiber <= FIBERS[-1]))
-                and np.all((AREAS[0] <= aa) & (aa <= AREAS[-1]))
-                and np.all((BAND_NM[0] <= wl) & (wl <= BAND_NM[1]))
-                and not np.any(t[1:] < t[:-1]))
-
-
 def _median(x):
     """np.median of finite values, without the numpy.ma import (about 20 ms)
     its first call makes: the mean of the middle value or two, as np.median
@@ -520,16 +498,19 @@ def _median(x):
     return np.mean(part[(n - 1) // 2:n // 2 + 1])
 
 
-def _spacing(times):
-    """(median interval, None) of sorted instants, or (median, what is
-    wrong) when they repeat or vary by more than RATE_TOLERANCE."""
+def _rate(times):
+    """``(rate, None)`` of sorted instants, one over their median spacing
+    (FALLBACK_SAMPLE_RATE_HZ for a single instant), or ``(None, what is
+    wrong)`` when they repeat or vary by more than RATE_TOLERANCE."""
+    if times.shape[0] < 2:
+        return FALLBACK_SAMPLE_RATE_HZ, None
     deltas = np.diff(times)
     dt = float(_median(deltas))
     if dt <= 0:
-        return dt, "repeats sample instants"
+        return None, "repeats sample instants"
     if np.any(np.abs(deltas - dt) > RATE_TOLERANCE * dt):
-        return dt, "sample spacing varies by more than 1 ppm"
-    return dt, None
+        return None, "sample spacing varies by more than 1 ppm"
+    return 1.0 / dt, None
 
 
 def parse_trace_csv(path):
@@ -545,14 +526,12 @@ def parse_trace_csv(path):
     end = data.find(b"\n")
     if end < 0:
         end = len(data)
-    columns = None
-    if data[:end] == TRACE_HEADER.encode():
-        columns = _fixed_columns(data, end + 1)
-    else:
-        _check_header(data)
-    if columns is None or not _rows_valid(*columns):
-        columns = _scan_rows(data)
-    del data
+    fixed = _fixed_columns(data, end + 1) if data[:end] == TRACE_HEADER.encode() else None
+    columns = fixed or _scan_rows(data)  # the line walk names a bad line itself
+    del data  # before the row check, which can then reuse its memory
+    bad = fixed and _bad_row(*fixed)
+    if bad:  # the writer's layout: one row per line, no blank lines
+        raise ParseError(bad[1], line=bad[0] + 2)
     t, fiber, aa, wl = columns
     if t.shape[0] == 0:
         raise ParseError("file holds no samples", line=2)
@@ -563,7 +542,7 @@ def parse_trace_csv(path):
     counts = np.bincount(code, minlength=len(FIBERS) * len(AREAS))
     ends = np.cumsum(counts)
     times, wavelengths = t[order], wl[order]
-    del columns, t, fiber, aa, wl, order  # free the columns before the traces
+    del fixed, columns, t, fiber, aa, wl, order  # free the columns before the traces
     traces = []
     for fiber in FIBERS:
         codes = [fiber * len(AREAS) + aa for aa in AREAS]
@@ -579,13 +558,9 @@ def parse_trace_csv(path):
                 raise ParseError(
                     f"fiber {fiber} area {aa} does not share the sample instants "
                     "of the other areas")
-        if n > 1:
-            dt, problem = _spacing(times0)
-            if problem:
-                raise ParseError(f"fiber {fiber} {problem}")
-            rate = 1.0 / dt
-        else:
-            rate = FALLBACK_SAMPLE_RATE_HZ
+        rate, problem = _rate(times0)
+        if problem:
+            raise ParseError(f"fiber {fiber} {problem}")
         block = wavelengths[start:start + n * len(aas)].reshape(len(aas), n)
         traces.append(WavelengthTrace(sample_rate_hz=rate,
                                       channels=np.ascontiguousarray(block.T),

@@ -218,10 +218,14 @@ def features_from_spectrum(freqs, mags, rpm_hint=None,
     """Features from a channel_spectrum.
 
     The base frequency is the strongest peak at or below shape_cutoff_hz;
-    the fundamental is the strongest peak above it, snapped to
-    rpm_hint / 60 when within two bins. An absent fundamental signals
-    vibration-free data. The bin spacing must be 0.5 Hz or finer.
+    the fundamental is the strongest peak above it. With rpm_hint > 0 it is
+    the strongest of those within two bins of rpm_hint / 60, snapped to that
+    rate, when there is one; a hint of 0 (a tool at rest) snaps nothing. An
+    absent fundamental signals vibration-free data. The bin spacing must be
+    0.5 Hz or finer.
     """
+    if rpm_hint is not None and not (math.isfinite(rpm_hint) and rpm_hint >= 0):
+        raise ParameterError(f"rpm_hint must be finite and non-negative, got {rpm_hint}")
     freqs = np.asarray(freqs, dtype=float)
     # Bin 1 sits at sample_rate_hz / n; a one-sample record has no spacing.
     resolution = float(freqs[1]) if freqs.shape[0] > 1 else math.inf
@@ -233,17 +237,17 @@ def features_from_spectrum(freqs, mags, rpm_hint=None,
                        max_freq_hz=max_freq_hz)
 
     base = next((p for p in peaks if p.frequency_hz <= shape_cutoff_hz), None)
-    fund = next((p for p in peaks if p.frequency_hz > shape_cutoff_hz), None)
+    above = [p for p in peaks if p.frequency_hz > shape_cutoff_hz]
+    hinted = rpm_hint / 60.0 if rpm_hint else None
+    # A step's leakage near 0 Hz can outrank the tool line the hint names.
+    near = [p for p in above if hinted and abs(p.frequency_hz - hinted) <= 2.0 * resolution]
+    fund = next(iter(near or above), None)
     if fund is None:
         return SpectralFeatures(
             base_frequency_hz=base.frequency_hz if base else None,
             base_amplitude_nm=base.amplitude if base else None)
 
-    f0 = fund.frequency_hz
-    if rpm_hint is not None and rpm_hint > 0:
-        hinted = rpm_hint / 60.0
-        if abs(f0 - hinted) <= 2.0 * resolution:
-            f0 = hinted
+    f0 = hinted if near else fund.frequency_hz
     harmonics, amplitudes = [], []
     for m in range(2, MAX_HARMONIC + 1):
         target = m * f0

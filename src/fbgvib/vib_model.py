@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import BAND_NM, WavelengthTrace
+from .dataio import AREAS, BAND_NM, WavelengthTrace
 from .errors import DataError, ParameterError, UndampedResonanceError
 from .shape import DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 
@@ -263,8 +263,11 @@ class Scenario:
             raise ParameterError("noise_sigma_nm must be finite and non-negative")
         base = self.base_wavelength_nm
         if np.isscalar(base):
-            base = (float(base),) * 3
+            base = (float(base),) * len(AREAS)
         base = tuple(float(b) for b in base)
+        if not 1 <= len(base) <= len(AREAS):
+            raise ParameterError(f"base_wavelength_nm takes 1 to {len(AREAS)} values, "
+                                 "one per active area")
         if not all(BAND_NM[0] <= b <= BAND_NM[1] for b in base):
             raise ParameterError(f"base_wavelength_nm must lie within {BAND_NM} nm")
         object.__setattr__(self, "base_wavelength_nm", base)

@@ -754,3 +754,35 @@ def test_analyze_snaps_to_the_config_tool_rate(tmp_path, capsys):
     assert "fundamental_hz=2.000000" in plain.splitlines()
     assert "fundamental_hz=2.016667" in hinted.splitlines()
     assert status == 0 and configured == hinted
+
+
+@pytest.mark.parametrize("hint,status,line", [("-120", 2, None),
+                                              ("0", 0, "fundamental_hz=2.000000")])
+def test_a_negative_rpm_hint_is_usage_error(tmp_path, capsys, hint, status, line):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "121", "--duration", "10", "--out", str(trace))
+    code, out, err = run(capsys, "analyze", str(trace), "--rpm-hint", hint)
+    assert code == status
+    if line is None:
+        assert out == "" and err.splitlines() == [
+            "error: rpm_hint must be finite and non-negative, got -120.0"]
+    else:  # a tool at rest: nothing to snap to
+        assert line in out.splitlines() and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "{dir}"],
+    ["analyze", "{trace}", "--config", "{dir}"],
+    ["shape", "{trace}", "--calibration", "{dir}", "--out", "{out}"],
+    ["simulate", "--rpm", "120", "--duration", "2", "--out", "{dir}"],
+    ["sweep", "--from-dir", "{trace}", "--out", "{out}"],
+], ids=["analyze", "config", "calibration", "simulate-out", "from-dir"])
+def test_a_path_of_the_wrong_kind_is_usage_error(tmp_path, capsys, argv):
+    paths = {"dir": tmp_path / "d", "trace": tmp_path / "t.csv", "out": tmp_path / "o.csv"}
+    paths["dir"].mkdir()
+    write_trace_csv(paths["trace"], WavelengthTrace(1000.0, np.full((3000, 3), 1535.3)))
+    before = sorted(tmp_path.rglob("*"))
+    status, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert status == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(tmp_path.rglob("*")) == before  # no output, no temp file

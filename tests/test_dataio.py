@@ -3,9 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from fbgvib import ParameterError, ParseError, Scenario, WavelengthTrace, dataio, simulate
-from fbgvib.dataio import (CONFIG_KEYS, atomic_write_text, parse_config, parse_trace_csv,
-                           trace_csv_text, write_trace_csv)
+from fbgvib import (DataError, ParameterError, ParseError, Scenario, WavelengthTrace, dataio,
+                    simulate)
+from fbgvib.dataio import (CONFIG_KEYS, atomic_write_text, csv_text, parse_config,
+                           parse_trace_csv, tips_csv_text, trace_csv_text, write_trace_csv)
 
 
 def test_minimal_single_instant_file(tmp_path):
@@ -183,6 +184,38 @@ def test_writer_rejects_what_the_reader_rejects(tmp_path, change):
     with pytest.raises(ParameterError):
         write_trace_csv(path, WavelengthTrace(**fields))
     assert not path.exists()
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"labels": ((0, 3),)}, "area 3 of fiber 0, sample 0: aa must be 0, 1, or 2, got 3"),
+    ({"channels": [[1535.3], [1600.0]]},
+     "area 0 of fiber 0, sample 1: wavelength 1600.0 nm outside the band (1510.0, 1590.0)"),
+    ({"t0": float("inf")}, "area 0 of fiber 0, sample 0: time must be finite, got inf"),
+])
+def test_writer_names_the_rule_the_sample_breaks(change, message):
+    fields = {"sample_rate_hz": 1000.0, "channels": [[1535.3], [1535.4]],
+              "t0": 0.0, "labels": ((0, 0),)}
+    fields.update(change)
+    fields["channels"] = np.array(fields["channels"])
+    with pytest.raises(ParameterError) as info:
+        trace_csv_text(WavelengthTrace(**fields))
+    assert str(info.value) == message
+
+
+def test_a_trace_needs_a_channel():
+    with pytest.raises(DataError):
+        WavelengthTrace(1000.0, np.empty((5, 0)), labels=())
+
+
+@pytest.mark.parametrize("write", [
+    lambda: tips_csv_text(np.arange(3.0), np.zeros((2, 2))),
+    lambda: csv_text("h", "{:.3f},{:.3f}\n", (np.zeros(3), np.ones(5))),
+    lambda: csv_text("h", "{:.3f},{:.3f}\n", (np.zeros(2), np.ones((2, 1)))),
+])
+def test_csv_columns_of_other_shapes_are_refused(write):
+    # Rows past the shortest column used to be dropped without a word.
+    with pytest.raises(DataError, match="1-D and of equal length"):
+        write()
 
 
 @pytest.mark.parametrize("rate,t0,n,problem", [

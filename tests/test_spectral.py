@@ -253,6 +253,24 @@ def test_fundamental_snaps_to_rpm_hint():
     assert feats.fundamental_hz == pytest.approx(2.0, abs=1e-12)
 
 
+def test_rpm_hint_finds_the_tool_line_next_to_a_step(params):
+    # A 10 s monitor window at 240 rpm with a 0.35 nm step at 5 s: the
+    # step's leakage at 0.1 Hz is the strongest peak above the shape band.
+    trace = simulate(Scenario(rpm=240.0, duration_s=10.0), params, seed=3)
+    x = trace.channel(0) + 0.35 * (np.arange(trace.n_samples) >= 5000)
+    assert identify_features(x, 1000.0, rpm_hint=240.0).fundamental_hz == 4.0
+    # Without a hint, or with a tool at rest, the strongest peak stays.
+    assert identify_features(x, 1000.0).fundamental_hz == pytest.approx(0.1)
+    assert identify_features(x, 1000.0, rpm_hint=0.0).fundamental_hz == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("hint", [-120.0, -1e-9, np.nan, np.inf])
+def test_negative_or_non_finite_rpm_hint_is_a_parameter_error(hint):
+    x = np.sin(2 * np.pi * 2.0 * np.arange(10000) / 1000.0)
+    with pytest.raises(ParameterError, match="rpm_hint"):
+        identify_features(x, 1000.0, rpm_hint=hint)
+
+
 def test_rpm_zero_bending_trace_has_base_only(params):
     from fbgvib import BendProfile
     scenario = Scenario(rpm=0.0, duration_s=150.0, bend=BendProfile())

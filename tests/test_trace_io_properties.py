@@ -4,9 +4,11 @@ The reference reader is `oracles.line_walk_parse_trace_csv`; the reference
 writer is one f-string per row, as the CSV writers were first written.
 """
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -153,6 +155,38 @@ def test_writer_output_never_takes_the_line_walk(tmp_path, traces, monkeypatch):
     assert trace_csv_text(parse_trace_csv(path)) == path.read_text()
 
 
+# Fields that break one row rule and keep the writer's layout: the same
+# width, with digits where the writer prints digits.
+WRITER_LAYOUT_BREAKS = {"fiber 2": (1, lambda text: "2"), "area 3": (2, lambda text: "3"),
+                        "below band": (3, lambda text: "1500.000000000"),
+                        "above band": (3, lambda text: "1600.000000000"),
+                        "decreasing time": (0, lambda text: re.sub("[0-9]", "0", text))}
+
+
+@FILE_SETTINGS
+@given(traces=trace_sets(), data=st.data())
+def test_a_bad_row_in_the_writer_layout_is_named_without_the_line_walk(
+        tmp_path, traces, data, monkeypatch):
+    lines = trace_csv_text(traces).splitlines()
+    kind = data.draw(st.sampled_from(sorted(WRITER_LAYOUT_BREAKS)), label="kind")
+    row = data.draw(st.integers(1, len(lines) - 1), label="row")
+    fields = lines[row].split(",")
+    if kind == "decreasing time":  # a time of 0 s after a later one
+        assume(row > 1 and float(lines[row - 1].split(",")[0]) > 0)
+    field, change = WRITER_LAYOUT_BREAKS[kind]
+    fields[field] = change(fields[field])
+    lines[row] = ",".join(fields)
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = outcome(line_walk_parse_trace_csv, path)
+    assert expected[:2] == ("error", row + 1)
+
+    def line_walk(path):
+        raise AssertionError("a writer-layout file reached _scan_rows")
+    monkeypatch.setattr(dataio, "_scan_rows", line_walk)
+    assert outcome(parse_trace_csv, path) == expected
+
+
 def _time_texts(t):
     """Ways a time can be written that float() reads (or, for nan, refuses)."""
     return st.sampled_from([f"{t:.6f}", repr(t), f"{t:+.6f}", f"{t:e}", f"{t:.17g}",
@@ -255,6 +289,10 @@ NAMED_LAYOUTS = {
     "15-digit fields": _lines("0.00000000000000,0,0,1535.30000000001",
                               "0.00100000000000,0,0,1535.30000000002"),
     "sign in a digit column": _lines("10.000000,0,0,1535.3", "-1.000000,0,0,1535.3"),
+    "400-digit fiber": _lines("0.000000,1" + "0" * 399 + ",0,1535.3"),
+    "10**30 area": _lines(f"0.000000,0,{10**30},1535.3"),
+    "bad row, then a malformed line": _lines("0.000000,0,0,1600.0", "x,0,0,1535.3"),
+    "malformed line, then a bad row": _lines("0.000000,0,0,1535.3,0", "0.001000,2,0,1535.3"),
 }
 
 

@@ -187,6 +187,20 @@ def test_base_wavelength_band_edges_accepted():
                         1510.0, 1535.3, 1590.0)
 
 
+@pytest.mark.parametrize("base", [(), (1535.3,) * 4])
+def test_base_wavelength_count_is_one_to_three_areas(base):
+    # Four values used to simulate an area labelled 3, which the writer
+    # refuses; none simulated a trace with no channel.
+    with pytest.raises(ParameterError, match="1 to 3 values"):
+        Scenario(rpm=60.0, duration_s=1.0, base_wavelength_nm=base)
+
+
+def test_one_base_wavelength_simulates_one_area(params):
+    trace = simulate(Scenario(rpm=60.0, duration_s=1.0, base_wavelength_nm=(1540.0,)),
+                     params, seed=1)
+    assert trace.labels == ((0, 0),)
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ParameterError):
         preset_scenario("soft-9000rpm")
