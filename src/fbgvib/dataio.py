@@ -79,9 +79,12 @@ def atomic_write_text(path, text):
             for start in range(0, len(text), _WRITE_CHARS):
                 fh.write(text[start:start + _WRITE_CHARS])
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename2 is not None:
+            # os.replace names the temp file, now removed: name the target only.
+            raise OSError(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -523,6 +526,8 @@ def parse_trace_csv(path):
     """
     with open(path, "rb") as fh:
         data = fh.read()
+    if b"\r" in data and b"\r" not in (lf := data.replace(b"\r\n", b"\n")):
+        data = lf  # CRLF lines read as LF; a lone CR is left to the line walk
     end = data.find(b"\n")
     if end < 0:
         end = len(data)

@@ -3,16 +3,14 @@
 Each notch is a single second-order section with its zeros placed on the
 unit circle at the notch frequency and its poles pulled inside at a radius
 set by the requested -3 dB width, normalized for exactly unit gain at DC.
-Filters are applied forward and backward per section so the cascade has
-zero net phase: shape changes and collision transients keep their timing.
+The whole cascade runs forward and then backward, so it has zero net
+phase: shape changes and collision transients keep their timing.
 
-Each pass starts step-matched, as if the section had run on the first
+Each pass starts step-matched, as if the cascade had run on the first
 sample forever: only the departure from that sample is filtered from rest,
 so the recursion works on the small signal rather than on the ~1535 nm
-level. The zeros are applied with array slices, and the pole pair is one
-compiled solve of a unit lower-triangular banded system, which is that
-recursion run in BLAS: scipy's ``dtbsv``, taken from the compiled
-extension that holds it without running the ``scipy.linalg`` package.
+level. A pass is one call of scipy's compiled ``_sosfilt``, which runs every
+section per sample, taken from its extension without ``scipy.signal``.
 """
 
 from __future__ import annotations
@@ -105,9 +103,7 @@ def _finite_positive(value):
     return math.isfinite(value) and value > 0
 
 
-@functools.lru_cache(maxsize=64)
 def _notch_section(center_hz, bandwidth_hz, sample_rate_hz):
-    """One notch; frozen, so equal (float) arguments share one section."""
     w0 = 2.0 * np.pi * center_hz / sample_rate_hz
     # Pole radius fixes the -3 dB width for narrow notches.
     r = 1.0 - np.pi * bandwidth_hz / sample_rate_hz
@@ -126,7 +122,7 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
     One section per multiple m in 1..n_harmonics, centered at
     m * fundamental_hz with -3 dB width bandwidth_hz and exactly unit DC
     gain. Raises ParameterError when any notch would sit at or above the
-    Nyquist frequency.
+    Nyquist frequency. Equal arguments return the same frozen spec.
     """
     if not _finite_positive(fundamental_hz):
         raise ParameterError("fundamental_hz must be finite and positive")
@@ -139,13 +135,18 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
     if not _finite_positive(bandwidth_hz):
         raise ParameterError("bandwidth_hz must be finite and positive")
     nyquist = sample_rate_hz / 2.0
-    centers = [m * fundamental_hz for m in range(1, n_harmonics + 1)]
+    centers = tuple(m * float(fundamental_hz) for m in range(1, n_harmonics + 1))
     if centers[-1] >= nyquist:
         raise ParameterError(
             f"notch at {centers[-1]} Hz is at or above the Nyquist frequency {nyquist} Hz")
-    sections = [_notch_section(float(c), float(bandwidth_hz), float(sample_rate_hz))
-                for c in centers]
-    return FilterSpec(sections=tuple(sections), sample_rate_hz=sample_rate_hz,
+    return _bandstop(centers, float(bandwidth_hz), float(sample_rate_hz))
+
+
+@functools.lru_cache(maxsize=64)
+def _bandstop(centers, bandwidth_hz, sample_rate_hz):
+    """One frozen cascade, and one notch-floor check, per distinct design."""
+    sections = tuple(_notch_section(c, bandwidth_hz, sample_rate_hz) for c in centers)
+    return FilterSpec(sections=sections, sample_rate_hz=sample_rate_hz,
                       notches=tuple((c, bandwidth_hz) for c in centers))
 
 
@@ -182,51 +183,49 @@ def _pad_length(spec, n):
     return min(transient_samples(spec), n - 1)
 
 
-#: The compiled scipy extension that holds dtbsv, under its own module name.
-_FBLAS = "scipy.linalg._fblas"
+#: The compiled scipy extension that holds ``_sosfilt``, under its own name.
+_SOSFILT = "scipy.signal._sosfilt"
 
 
-def _fblas_path():
-    """Path of scipy's compiled BLAS extension, or None when there is none.
+def _sosfilt_path():
+    """Path of scipy's compiled cascade extension, or None when there is none.
 
     Finding the top-level ``scipy`` spec imports nothing.
     """
     spec = importlib.util.find_spec("scipy")
-    for root in (spec and spec.submodule_search_locations) or ():
-        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-            path = os.path.join(root, "linalg", "_fblas" + suffix)
-            if os.path.isfile(path):
-                return path
-    return None
+    paths = [os.path.join(root, "signal", "_sosfilt" + suffix)
+             for root in (spec and spec.submodule_search_locations) or ()
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    return next(filter(os.path.isfile, paths), None)
 
 
-def _dtbsv():
-    """scipy's BLAS ``dtbsv``, without the ``scipy.linalg`` package import.
+def _sosfilt_kernel():
+    """scipy's compiled ``_sosfilt(sos, x, zi)``, without ``scipy.signal``.
 
-    Running ``scipy/linalg/__init__`` costs about 0.2 s per process; the
-    extension module alone loads in a few milliseconds. It is registered
-    under its own name, so a later ``import scipy.linalg`` reuses it
-    instead of loading the file a second time. Falls back to the package
-    import when the file is not found or fails to load.
+    Running ``scipy/signal/__init__`` costs about a second per process; the
+    extension module alone loads with top-level ``scipy`` in about 15 ms.
+    It is registered under its own name, so a later ``import scipy.signal``
+    reuses it instead of loading the file a second time. Falls back to the
+    package import when the file is not found or fails to load.
     """
-    fblas = sys.modules.get(_FBLAS)
-    path = _fblas_path() if fblas is None else None
+    module = sys.modules.get(_SOSFILT)
+    path = _sosfilt_path() if module is None else None
     if path:
-        spec = importlib.util.spec_from_file_location(_FBLAS, path)
+        spec = importlib.util.spec_from_file_location(_SOSFILT, path)
         try:
-            fblas = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(fblas)
-            sys.modules[_FBLAS] = fblas
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_SOSFILT] = module
         except (ImportError, OSError):
-            fblas = None
-    if fblas is None:
-        from scipy.linalg.blas import dtbsv
-        return dtbsv
-    return fblas.dtbsv
+            module = None
+    if module is None:
+        from scipy.signal._sosfilt import _sosfilt
+        return _sosfilt
+    return module._sosfilt
 
 
 def apply_zero_phase(spec, x):
-    """Forward-then-reverse filtering per section; output length == input.
+    """The cascade forward, then backward; output length == input.
 
     The record is extended by odd reflection (three time constants of the
     slowest pole) so ramps cross the edges without startup transients. The
@@ -234,7 +233,7 @@ def apply_zero_phase(spec, x):
     phase is zero.
     """
     # Loaded on first use: only filter and sweep among the CLI stages get here.
-    dtbsv = _dtbsv()
+    sosfilt = _sosfilt_kernel()
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")
@@ -245,29 +244,23 @@ def apply_zero_phase(spec, x):
     left = 2.0 * x[0] - x[pad:0:-1]
     right = 2.0 * x[-1] - x[-2:-pad - 2:-1]
     y = np.concatenate((left, x, right))
-    # Band storage of the unit lower-triangular system whose rows read
-    # y[n] + a1 y[n-1] + a2 y[n-2] = u[n]; row 0 (the diagonal) is never read.
-    band = np.empty((3, y.shape[0]), order="F")
-    # Work arrays reused by every pass: fresh ones would be page-faulted in.
-    d, u, tmp = np.empty((3, y.shape[0]))
-    for s in spec.sections:
-        band[1], band[2] = s.a1, s.a2
-        dc_gain = (s.b0 + s.b1 + s.b2) / (1.0 + s.a1 + s.a2)
-        for _ in range(2):
-            # Step-matched start: the section has run on y[0] forever, so
-            # y[0] leaves scaled by the DC gain and only the departure d
-            # from it is filtered from rest.
-            np.subtract(y, y[0], out=d)
-            np.multiply(d, s.b0, out=u)
-            u[1:] += np.multiply(d[:-1], s.b1, out=tmp[1:])
-            u[2:] += np.multiply(d[:-2], s.b2, out=tmp[2:])
-            filtered = dtbsv(2, band, u, lower=1, diag=1, overwrite_x=1)
-            # y += (g - 1) y[0] + (filtered - d): the identity section
-            # returns y exactly. Reversing is a view, for the next pass.
-            filtered -= d
-            filtered += (dc_gain - 1.0) * y[0]
-            y += filtered
-            y = y[::-1]
+    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in spec.sections]).reshape(-1, 6)
+    dc_gain = math.prod((s.b0 + s.b1 + s.b2) / (1.0 + s.a1 + s.a2) for s in spec.sections)
+    # Work arrays reused by both passes: fresh ones would be page-faulted in.
+    d, f = np.empty((2, 1, y.shape[0]))
+    for _ in range(2):
+        # Step-matched start: the cascade has run on y[0] forever, so y[0]
+        # leaves scaled by the DC gain and only the departure d from it is
+        # filtered from rest, every section per sample in one compiled loop.
+        np.subtract(y, y[0], out=d[0])
+        np.copyto(f, d)
+        sosfilt(sos, f, np.zeros((1, sos.shape[0], 2)))
+        # y += (f - d) + (G - 1) y[0]: the identity cascade returns y
+        # exactly. Reversing is a view, for the next pass.
+        f -= d
+        f += (dc_gain - 1.0) * y[0]
+        y += f[0]
+        y = y[::-1]
     return y[pad:pad + x.shape[0]]
 
 

@@ -251,7 +251,9 @@ def features_from_spectrum(freqs, mags, rpm_hint=None,
     harmonics, amplitudes = [], []
     for m in range(2, MAX_HARMONIC + 1):
         target = m * f0
-        match = min((p for p in peaks if abs(p.frequency_hz - target) <= resolution),
+        # Within a bin and f0 / 2: a one-bin f0 must not take (m - 1) * f0.
+        match = min((p for p in peaks if abs(p.frequency_hz - target) <= resolution
+                     and abs(p.frequency_hz - target) < 0.5 * f0),
                     key=lambda p: abs(p.frequency_hz - target), default=None)
         if match is not None:
             harmonics.append(match.frequency_hz)

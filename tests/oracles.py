@@ -5,9 +5,9 @@ oracle evaluates the defining sum directly, the peak oracles walk to each
 maximum's valleys one sample at a time, the shape oracle integrates the
 planar Frenet system with fixed-step RK4, the vibration oracle time-steps
 the equations of motion to steady state, the trace-file oracle walks
-the CSV one line at a time, and the zero-phase oracles run each section
-through scipy.signal or through a long-double recursion one sample at a
-time.
+the CSV one line at a time, and the zero-phase oracles run the whole
+cascade forward and then backward, through scipy.signal or through a
+long-double recursion one sample at a time.
 """
 
 import math
@@ -236,19 +236,18 @@ def _odd_reflect(spec, x):
 
 
 def sosfilt_zero_phase(spec, x):
-    """Zero-phase cascade by scipy.signal.sosfilt, one section at a time: the
-    reference for filtering.apply_zero_phase (same padding, same order).
+    """Zero-phase cascade by scipy.signal.sosfilt: the reference for
+    filtering.apply_zero_phase (same padding, same order: the whole cascade
+    forward, then the whole cascade backward).
 
     Each pass starts from sosfilt_zi's steady state scaled by the first
-    sample, as if the section had run on that sample forever.
+    sample, as if the cascade had run on that sample forever.
     """
     x = np.asarray(x, dtype=float)
     pad, y = _odd_reflect(spec, x)
-    for section in spec.sections:
-        sos = np.array([[section.b0, section.b1, section.b2, 1.0, section.a1, section.a2]])
-        zi = sosfilt_zi(sos)
-        y, _ = sosfilt(sos, y, zi=zi * y[0])
-        y = y[::-1]
+    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in spec.sections])
+    zi = sosfilt_zi(sos)
+    for _ in range(2):
         y, _ = sosfilt(sos, y, zi=zi * y[0])
         y = y[::-1]
     return y[pad:pad + x.shape[0]]
@@ -257,22 +256,25 @@ def sosfilt_zero_phase(spec, x):
 def longdouble_zero_phase(spec, x):
     """Zero-phase cascade by the direct recursion in long double.
 
-    Each pass runs y[n] = b0 x[n] + b1 x[n-1] + b2 x[n-2] - a1 y[n-1] - a2 y[n-2]
-    sample by sample from the steady state of a record held at its first
-    sample: inputs before the start equal that sample and outputs before
-    the start equal it times the section's DC gain. The level is carried
-    apart from the departure, so the rounding scales with the signal
-    rather than with the ~1535 nm offset.
+    Each pass runs every section in turn, y[n] = b0 x[n] + b1 x[n-1] +
+    b2 x[n-2] - a1 y[n-1] - a2 y[n-2] sample by sample, from the steady
+    state of a record held at its first sample: inputs before the start
+    equal that sample and outputs before the start equal it times the
+    cascade's DC gain. The level is carried apart from the departure, so
+    the rounding scales with the signal rather than with the ~1535 nm
+    offset.
     """
     x = np.asarray(x, dtype=np.longdouble)
     pad, y = _odd_reflect(spec, x)
-    for section in spec.sections:
-        b0, b1, b2, a1, a2 = (np.longdouble(v) for v in (
-            section.b0, section.b1, section.b2, section.a1, section.a2))
-        gain = (b0 + b1 + b2) / (1 + a1 + a2)
-        for _ in range(2):
-            level = y[0]
-            d = y - level
+    sections = [tuple(np.longdouble(v) for v in (s.b0, s.b1, s.b2, s.a1, s.a2))
+                for s in spec.sections]
+    gain = np.longdouble(1)
+    for b0, b1, b2, a1, a2 in sections:
+        gain *= (b0 + b1 + b2) / (1 + a1 + a2)
+    for _ in range(2):
+        level = y[0]
+        d = y - level
+        for b0, b1, b2, a1, a2 in sections:
             out = np.empty_like(d)
             x1 = x2 = y1 = y2 = np.longdouble(0)
             for n in range(d.shape[0]):
@@ -280,5 +282,6 @@ def longdouble_zero_phase(spec, x):
                 out[n] = v
                 x2, x1 = x1, d[n]
                 y2, y1 = y1, v
-            y = (gain * level + out)[::-1]
+            d = out
+        y = (gain * level + d)[::-1]
     return np.asarray(y[pad:pad + x.shape[0]], dtype=float)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import os
 import subprocess
 import sys
@@ -33,6 +34,17 @@ def test_unknown_flag_is_usage_error(capsys):
     status, _, err = run(capsys, "simulate", "--frequency", "10", "--out", "x.csv")
     assert status == 2
     assert err.strip() and len(err.strip().splitlines()) == 1
+
+
+def test_out_naming_a_directory_names_only_the_directory(tmp_path, capsys):
+    target = tmp_path / "d"
+    target.mkdir()
+    status, _, err = run(capsys, "simulate", "--rpm", "120", "--duration", "2",
+                         "--out", str(target))
+    assert status == 2
+    reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}"
+    assert err.splitlines() == [f"error: {reason}: {str(target)!r}"]
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
 def test_missing_input_is_usage_error(tmp_path, capsys):
@@ -456,7 +468,8 @@ def test_filter_and_sweep_run_without_scipy_signal(tmp_path):
 
 
 def test_cli_stages_leave_scipy_linalg_signal_and_numpy_ma_unloaded(tmp_path):
-    # Only the compiled BLAS extension (key scipy.linalg._fblas) may load.
+    # Of scipy, only the top-level package and the compiled cascade
+    # extension (key scipy.signal._sosfilt) may load.
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

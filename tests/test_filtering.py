@@ -92,6 +92,30 @@ def test_equal_designs_share_their_sections():
     assert all(a is b for a, b in zip(again.sections, first.sections))
 
 
+@pytest.mark.parametrize("fundamental", [4.0, np.float64(4.0), np.array(4.0)],
+                         ids=["float", "float64", "0-d array"])
+def test_equal_designs_return_one_spec(fundamental):
+    assert design_bandstop(fundamental, sample_rate_hz=FS) is design_bandstop(
+        4.0, 3, None, FS)
+
+
+@pytest.mark.parametrize("args", [(300.0, 2, 1.0, FS), (4.0, 0, 0.5, FS),
+                                  (4.0, 3, -0.5, FS), (4.0, 3, 400.0, FS)],
+                         ids=["nyquist", "no-harmonics", "negative-width", "too-wide"])
+def test_a_cached_design_still_refuses_bad_arguments(args):
+    design_bandstop(4.0, 3, 0.5, FS)
+    for _ in range(2):
+        with pytest.raises(ParameterError):
+            design_bandstop(*args)
+
+
+def test_a_spec_built_directly_is_still_held_to_the_notch_floor():
+    notch = design_bandstop(4.0, 1, 0.5, FS)
+    with pytest.raises(ParameterError, match="-40.0 dB"):
+        FilterSpec(sections=identity_spec().sections, sample_rate_hz=FS,
+                   notches=notch.notches)
+
+
 @pytest.mark.parametrize("fundamental", [np.float64(4.0), np.array(4.0)],
                          ids=["float64", "0-d array"])
 def test_numpy_scalar_fundamental_designs_the_same_cascade(fundamental):
@@ -318,7 +342,7 @@ def test_coefficient_file_written_atomically(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["cascade.txt"]
 
 
-# --- BLAS loader -------------------------------------------------------------
+# --- kernel loader -----------------------------------------------------------
 
 #: Filters one record with a notch cascade and with the sweep's low-pass;
 #: ``digest()`` hashes the bytes of both outputs.
@@ -355,40 +379,39 @@ def in_process_digest():
     return namespace["digest"]()
 
 
-def test_blas_extension_loads_alone_and_scipy_linalg_reuses_it():
+def test_kernel_loads_without_the_scipy_signal_package():
+    digest, = fresh_digests(
+        "result = digest()\n"
+        "assert 'scipy.signal' not in sys.modules\n"
+        "assert 'scipy.signal._sosfilt' in sys.modules\n"
+        "print(result)\n")
+    assert digest == in_process_digest()
+
+
+def test_a_later_scipy_signal_import_reuses_the_loaded_kernel():
     first, second = fresh_digests(
         "first = digest()\n"
-        "assert 'scipy' not in sys.modules and 'scipy.linalg' not in sys.modules\n"
-        "assert 'scipy.linalg._fblas' in sys.modules\n"
-        "loaded = filtering._dtbsv()\n"
-        "import scipy.linalg, scipy.signal\n"
-        "assert scipy.linalg.blas.dtbsv is loaded\n"
-        "assert scipy.linalg.blas._fblas is sys.modules['scipy.linalg._fblas']\n"
+        "module = sys.modules['scipy.signal._sosfilt']\n"
+        "loaded = filtering._sosfilt_kernel()\n"
+        "import scipy.signal\n"
+        "from scipy.signal import _signaltools\n"
+        "assert sys.modules['scipy.signal._sosfilt'] is module\n"
+        "assert _signaltools._sosfilt is loaded is module._sosfilt\n"
         "assert scipy.signal.sosfilt([[1, 0, 0, 1, 0, 0]], np.ones(3)).tolist() == [1, 1, 1]\n"
         "print(first, digest())\n")
     assert first == second == in_process_digest()
 
 
-def test_blas_loader_reuses_an_imported_scipy_linalg():
-    # No file lookup may happen: the module is already in sys.modules.
-    digest, = fresh_digests(
-        "import scipy.linalg\n"
-        "filtering._fblas_path = None\n"
-        "assert filtering._dtbsv() is scipy.linalg.blas.dtbsv\n"
-        "print(digest())\n")
-    assert digest == in_process_digest()
-
-
 @pytest.mark.parametrize("lookup", ["lambda: None", "lambda: {broken!r}"],
                          ids=["no-file", "broken-file"])
-def test_blas_loader_falls_back_to_the_package_import(tmp_path, lookup):
-    broken = tmp_path / "_fblas.so"
+def test_kernel_loader_falls_back_to_the_package_import(tmp_path, lookup):
+    broken = tmp_path / "_sosfilt.so"
     broken.write_text("not a shared object\n")
     digest, = fresh_digests(
-        f"filtering._fblas_path = {lookup.format(broken=str(broken))}\n"
+        f"filtering._sosfilt_path = {lookup.format(broken=str(broken))}\n"
         "result = digest()\n"
-        "assert 'scipy.linalg' in sys.modules\n"
-        "import scipy.linalg\n"
-        "assert filtering._dtbsv() is scipy.linalg.blas.dtbsv\n"
+        "assert 'scipy.signal' in sys.modules\n"
+        "from scipy.signal._sosfilt import _sosfilt\n"
+        "assert filtering._sosfilt_kernel() is _sosfilt\n"
         "print(result)\n")
     assert digest == in_process_digest()

@@ -234,6 +234,18 @@ def test_constructed_harmonics():
     assert [round(h) for h in feats.harmonics_hz] == [6, 9]
 
 
+def test_a_one_bin_fundamental_takes_no_neighbouring_harmonic():
+    # A 10 s window without a hint whose strongest line is bin 1 (0.1 Hz):
+    # the peaks at 0.3 and 0.5 Hz are the third and fifth harmonics only.
+    freqs = np.arange(501) / 10.0
+    mags = np.full(501, 1e-4)
+    mags[[1, 3, 5]] = 1.0, 0.5, 0.3
+    feats = features_from_spectrum(freqs, mags)
+    assert feats.fundamental_hz == pytest.approx(0.1)
+    assert feats.harmonics_hz == (0.3, 0.5)
+    assert feats.harmonic_amplitudes_nm == (0.5, 0.3)
+
+
 def test_features_from_spectrum_matches_identify_features():
     fs = 1000.0
     t = np.arange(10000) / fs

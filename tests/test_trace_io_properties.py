@@ -155,6 +155,28 @@ def test_writer_output_never_takes_the_line_walk(tmp_path, traces, monkeypatch):
     assert trace_csv_text(parse_trace_csv(path)) == path.read_text()
 
 
+@FILE_SETTINGS
+@given(traces=trace_sets(), data=st.data())
+def test_crlf_files_parse_like_the_oracle(tmp_path, traces, data):
+    # CRLF endings read as LF, so the writer's layout saved with them is
+    # read without the line walk, and a bad row is named as the oracle does.
+    lines = trace_csv_text(traces).splitlines()
+    kind = data.draw(st.sampled_from([None, *sorted(CORRUPTIONS)]), label="kind")
+    if kind:
+        row = data.draw(st.integers(1, len(lines) - 1), label="row")
+        lines[row] = ",".join(CORRUPTIONS[kind](lines[row].split(",")))
+    path = tmp_path / "t.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    expected = outcome(line_walk_parse_trace_csv, path)
+
+    def line_walk(path):
+        raise AssertionError("a CRLF writer-layout file reached _scan_rows")
+    with pytest.MonkeyPatch.context() as patch:
+        if kind is None:
+            patch.setattr(dataio, "_scan_rows", line_walk)
+        assert outcome(parse_trace_csv, path) == expected
+
+
 # Fields that break one row rule and keep the writer's layout: the same
 # width, with digits where the writer prints digits.
 WRITER_LAYOUT_BREAKS = {"fiber 2": (1, lambda text: "2"), "area 3": (2, lambda text: "3"),
@@ -274,6 +296,10 @@ NAMED_LAYOUTS = {
     "nan time": _lines("nan,0,0,1535.3"),
     "padding spaces": _lines("0.000000, 0,0,1535.3 ", " 0.001000,0,0,1535.3"),
     "crlf": _lines("0.000000,0,0,1535.3", "0.001000,0,0,1535.4", end="\r\n"),
+    "lone cr": _lines("0.000000,0,0,1535.3", "0.001000,0,0,1535.4", end="\r"),
+    "cr before crlf": _lines("0.000000,0,0,1535.3", "0.001000,0,0,1535.4", end="\r\r\n"),
+    "crlf, then a lone cr": _lines("0.000000,0,0,1535.3", end="\r\n")
+    + "0.001000,0,0,1535.4\r0.002000,0,0,1600.0\r",
     "no final newline": _lines("0.000000,0,0,1535.3", "0.001000,0,0,1535.4",
                                last=False),
     "blank lines": _lines("0.000000,0,0,1535.3", "", "0.001000,0,0,1535.4", "  "),
