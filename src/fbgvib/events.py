@@ -80,7 +80,8 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
     n_blocks = x.shape[0] // block
     if n_blocks < 2:
         raise DataError("record shorter than two detector blocks")
-    means = x[: n_blocks * block].reshape(n_blocks, block).mean(axis=1)
+    # Python floats: the same IEEE arithmetic, without numpy scalar overhead.
+    means = x[: n_blocks * block].reshape(n_blocks, block).mean(axis=1).tolist()
 
     allowance = drift_nm / BLOCKS_PER_WINDOW
     events = []
@@ -104,7 +105,7 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
             index = (j + 1) * block - 1
             events.append(StepEvent(index=index,
                                     time_s=t0 + index / sample_rate_hz,
-                                    magnitude_nm=float(magnitude),
+                                    magnitude_nm=magnitude,
                                     direction=direction))
             g_up = g_down = 0.0
             start_up = start_down = j

@@ -1,16 +1,18 @@
 """Band-stop cascades keyed to the tool rate, plus a low-pass shape filter.
 
-Each notch is a single second-order section with its zeros placed on the
-unit circle at the notch frequency and its poles pulled inside at a radius
-set by the requested -3 dB width, normalized for exactly unit gain at DC.
-The whole cascade runs forward and then backward, so it has zero net
-phase: shape changes and collision transients keep their timing.
+Each notch is a single second-order section, the mean of one and a
+second-order allpass (Regalia, Mitra & Vaidyanathan, Proc. IEEE 1988): its
+zeros sit on the unit circle at the notch frequency, its -3 dB width is
+the requested one, its DC gain is exactly one, and it gains nowhere. The
+whole cascade runs forward and then backward, so it has zero net phase:
+shape changes and collision transients keep their timing.
 
 Each pass starts step-matched, as if the cascade had run on the first
 sample forever: only the departure from that sample is filtered from rest,
 so the recursion works on the small signal rather than on the ~1535 nm
 level. A pass is one call of scipy's compiled ``_sosfilt``, which runs every
-section per sample, taken from its extension without ``scipy.signal``.
+section per sample, taken from its extension without ``scipy.signal``;
+``spectral`` takes scipy's compiled prominence walk the same way.
 """
 
 from __future__ import annotations
@@ -104,15 +106,14 @@ def _finite_positive(value):
 
 
 def _notch_section(center_hz, bandwidth_hz, sample_rate_hz):
-    w0 = 2.0 * np.pi * center_hz / sample_rate_hz
-    # Pole radius fixes the -3 dB width for narrow notches.
-    r = 1.0 - np.pi * bandwidth_hz / sample_rate_hz
-    if r <= 0:
+    if np.pi * bandwidth_hz >= sample_rate_hz:
         raise ParameterError("bandwidth too wide for this sample rate")
-    cw = np.cos(w0)
-    gain = (1.0 - 2.0 * r * cw + r * r) / (2.0 - 2.0 * cw)
-    return BiquadSection(b0=gain, b1=-2.0 * gain * cw, b2=gain,
-                         a1=-2.0 * r * cw, a2=r * r)
+    # H = (1 + A) / 2, A = (a2 + a1 z^-1 + z^-2) / (1 + a1 z^-1 + a2 z^-2),
+    # a2 = (1 - t) / (1 + t) with t = tan(pi bw / fs) for the -3 dB width.
+    # k = (1 + a2) / 2 comes first, so b1 is a1 and the DC gain is exactly 1.
+    k = 1.0 / (1.0 + np.tan(np.pi * bandwidth_hz / sample_rate_hz))
+    b1 = -2.0 * k * np.cos(2.0 * np.pi * center_hz / sample_rate_hz)
+    return BiquadSection(b0=k, b1=b1, b2=k, a1=b1, a2=2.0 * k - 1.0)
 
 
 def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
@@ -120,9 +121,11 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
     """Notch cascade at the fundamental and its integer multiples.
 
     One section per multiple m in 1..n_harmonics, centered at
-    m * fundamental_hz with -3 dB width bandwidth_hz and exactly unit DC
-    gain. Raises ParameterError when any notch would sit at or above the
-    Nyquist frequency. Equal arguments return the same frozen spec.
+    m * fundamental_hz with -3 dB width bandwidth_hz, exactly unit DC gain
+    and a gain of at most one at every frequency. Raises ParameterError
+    when any notch would sit at or above the Nyquist frequency, or when
+    bandwidth_hz is sample_rate_hz / pi or wider. Equal arguments return
+    the same frozen spec.
     """
     if not _finite_positive(fundamental_hz):
         raise ParameterError("fundamental_hz must be finite and positive")
@@ -183,45 +186,42 @@ def _pad_length(spec, n):
     return min(transient_samples(spec), n - 1)
 
 
-#: The compiled scipy extension that holds ``_sosfilt``, under its own name.
-_SOSFILT = "scipy.signal._sosfilt"
-
-
-def _sosfilt_path():
-    """Path of scipy's compiled cascade extension, or None when there is none.
+def _extension_path(name):
+    """Path of the compiled extension ``scipy/signal/<name>``, or None.
 
     Finding the top-level ``scipy`` spec imports nothing.
     """
     spec = importlib.util.find_spec("scipy")
-    paths = [os.path.join(root, "signal", "_sosfilt" + suffix)
+    paths = [os.path.join(root, "signal", name + suffix)
              for root in (spec and spec.submodule_search_locations) or ()
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     return next(filter(os.path.isfile, paths), None)
 
 
-def _sosfilt_kernel():
-    """scipy's compiled ``_sosfilt(sos, x, zi)``, without ``scipy.signal``.
+def _scipy_kernel(name, function):
+    """``function`` of scipy's compiled ``scipy.signal.<name>``, without
+    ``scipy.signal``.
 
-    Running ``scipy/signal/__init__`` costs about a second per process; the
+    Running ``scipy/signal/__init__`` costs about a second per process; an
     extension module alone loads with top-level ``scipy`` in about 15 ms.
     It is registered under its own name, so a later ``import scipy.signal``
     reuses it instead of loading the file a second time. Falls back to the
     package import when the file is not found or fails to load.
     """
-    module = sys.modules.get(_SOSFILT)
-    path = _sosfilt_path() if module is None else None
+    key = "scipy.signal." + name
+    module = sys.modules.get(key)
+    path = _extension_path(name) if module is None else None
     if path:
-        spec = importlib.util.spec_from_file_location(_SOSFILT, path)
+        spec = importlib.util.spec_from_file_location(key, path)
         try:
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
-            sys.modules[_SOSFILT] = module
+            sys.modules[key] = module
         except (ImportError, OSError):
             module = None
     if module is None:
-        from scipy.signal._sosfilt import _sosfilt
-        return _sosfilt
-    return module._sosfilt
+        module = importlib.import_module(key)
+    return getattr(module, function)
 
 
 def apply_zero_phase(spec, x):
@@ -233,7 +233,7 @@ def apply_zero_phase(spec, x):
     phase is zero.
     """
     # Loaded on first use: only filter and sweep among the CLI stages get here.
-    sosfilt = _sosfilt_kernel()
+    sosfilt = _scipy_kernel("_sosfilt", "_sosfilt")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")

@@ -1,11 +1,14 @@
 """Discrete Fourier analysis of wavelength traces.
 
 Transforms are numpy's FFT, which handles every length in O(N log N), so
-records of arbitrary duration transform without truncation. Magnitude
-spectra are scaled to physical amplitude (a unit sinusoid on a bin
-reports 1.0). Peaks are strict local maxima ranked by a prominence that
-the sweep module shares, and feature extraction separates the slow shape
-content from the tool-locked line and its integer multiples.
+records of arbitrary duration transform without truncation; real input,
+every channel here, is transformed at half length. Magnitude spectra are
+scaled to physical amplitude (a unit sinusoid on a bin reports 1.0).
+Peaks are strict local maxima ranked by a prominence that the sweep
+module shares, walked by scipy's compiled prominence walk taken from its
+extension without ``scipy.signal`` (as ``filtering`` takes ``_sosfilt``).
+Feature extraction separates the slow shape content from the tool-locked
+line and its integer multiples.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .dataio import csv_text
 from .errors import DataError, ParameterError
+from .filtering import _scipy_kernel
 
 WINDOWS = ("rectangular", "hann")
 
@@ -34,12 +38,22 @@ MAX_HARMONIC = 5
 def fft_forward(x):
     """Forward transform of a real or complex sequence, any length N >= 1.
 
-    Computed in double precision whatever the input's dtype.
+    Returns all N bins as complex128, whatever the input's dtype. Real input
+    is transformed at half length by ``np.fft.rfft``, and bins above N / 2
+    are the conjugates of their mirror bins; complex input goes through
+    ``np.fft.fft``.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("transform input must be a non-empty 1-D array")
-    return np.fft.fft(x.astype(np.promote_types(x.dtype, np.float64), copy=False))
+    x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
+    if np.iscomplexobj(x):
+        return np.fft.fft(x)
+    n = x.shape[0]
+    bins = np.empty(n, dtype=complex)
+    bins[: n // 2 + 1] = np.fft.rfft(x)
+    np.conjugate(bins[(n - 1) // 2:0:-1], out=bins[n // 2 + 1:])
+    return bins
 
 
 @functools.lru_cache(maxsize=4)
@@ -94,9 +108,9 @@ def peak_prominences(values):
     A maximum's span reaches, on each side, the nearest strictly higher
     sample or the array edge, past any samples of equal height; its
     prominence is its height minus the lowest sample in that span, which
-    is the lower of the two valley minima. Ranges are queried in sparse
-    tables of block maxima and minima, and every peak's span is found at
-    once by binary lifting.
+    is the lower of the two valley minima. Each span is walked sample by
+    sample in scipy's compiled walk, at a cost of O(span) per peak, as in
+    ``scipy.signal.peak_prominences`` (which subtracts the higher valley).
 
     Returns
     -------
@@ -116,36 +130,15 @@ def _prominences(a, peaks):
     """Prominences of ``peaks``, any subset of the local maxima of ``a``.
 
     Each peak's walk is independent of the others, so a subset gets the
-    values the full set would; the tables cover all of ``a`` regardless.
+    values the full set would.
     """
     if peaks.size == 0:
         return np.empty(0)
-    n = a.shape[0]
-    # Level k holds the max (min) of a[j:j + 2**k] at index j.
-    highs, lows = [a], [a]
-    while 2 * highs[-1].shape[0] > n + 1:
-        h = n + 1 - highs[-1].shape[0]
-        highs.append(np.maximum(highs[-1][:-h], highs[-1][h:]))
-        lows.append(np.minimum(lows[-1][:-h], lows[-1][h:]))
-    height = a[peaks]
-    # Widen [left, right) by halving blocks while no sample exceeds the peak.
-    left, right = peaks, peaks + 1
-    for k in range(len(highs) - 1, -1, -1):
-        size = 1 << k
-        start = left - size
-        ok = (start >= 0) & (highs[k][np.maximum(start, 0)] <= height)
-        left = np.where(ok, start, left)
-        last = highs[k].shape[0] - 1
-        ok = (right <= last) & (highs[k][np.minimum(right, last)] <= height)
-        right = np.where(ok, right + size, right)
-    # The span [left, right) is the peak and its two valleys.
-    level = np.frexp(right - left)[1] - 1  # floor(log2(span length))
-    valley = np.empty(peaks.size)
-    # bincount, not np.unique, which imports numpy.ma (about 12 ms).
-    for k in np.flatnonzero(np.bincount(level)):
-        m = level == k
-        valley[m] = np.minimum(lows[k][left[m]], lows[k][right[m] - (1 << k)])
-    return height - valley
+    walk = _scipy_kernel("_peak_finding_utils", "_peak_prominences")
+    # The walk takes contiguous doubles and intp indices; -1: no window.
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    _, left, right = walk(a, np.ascontiguousarray(peaks, dtype=np.intp), -1)
+    return a[peaks] - np.minimum(a[left], a[right])
 
 
 def find_peaks(freqs, mags, min_prominence=DEFAULT_MIN_PROMINENCE_NM,

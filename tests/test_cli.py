@@ -468,8 +468,9 @@ def test_filter_and_sweep_run_without_scipy_signal(tmp_path):
 
 
 def test_cli_stages_leave_scipy_linalg_signal_and_numpy_ma_unloaded(tmp_path):
-    # Of scipy, only the top-level package and the compiled cascade
-    # extension (key scipy.signal._sosfilt) may load.
+    # Of scipy, only the top-level package and two compiled extensions may
+    # load: the cascade (scipy.signal._sosfilt) and the prominence walk
+    # (scipy.signal._peak_finding_utils).
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -486,10 +487,12 @@ def test_cli_stages_leave_scipy_linalg_signal_and_numpy_ma_unloaded(tmp_path):
     probe = ("import sys\nfrom fbgvib.cli import main\n"
              + "".join(f"assert main({argv!r}) == 0\n" for argv in stages)
              + "print([m for m in ('scipy.linalg', 'scipy.signal', 'numpy.ma') "
-               "if m in sys.modules])\n")
+               "if m in sys.modules])\n"
+             + "print(sorted(m for m in sys.modules if m.startswith('scipy.signal.')))\n")
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip().splitlines()[-1] == "[]"
+    assert result.stdout.strip().splitlines()[-2:] == [
+        "[]", "['scipy.signal._peak_finding_utils', 'scipy.signal._sosfilt']"]
 
 
 def test_analyze_transforms_channel_once(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -107,6 +107,24 @@ def test_a_cached_design_still_refuses_bad_arguments(args):
     for _ in range(2):
         with pytest.raises(ParameterError):
             design_bandstop(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fundamental=st.floats(0.01, 500.0), n_harmonics=st.integers(1, 5),
+       bandwidth=st.one_of(st.none(), st.floats(1e-3, 400.0)),
+       sample_rate=st.sampled_from([50.0, 250.0, 1000.0, 4000.0]))
+@example(fundamental=10.0 / 60.0, n_harmonics=3, bandwidth=None, sample_rate=FS)
+@example(fundamental=0.5, n_harmonics=1, bandwidth=5.0, sample_rate=FS)
+def test_no_design_gains_anywhere(fundamental, n_harmonics, bandwidth, sample_rate):
+    # A notch that amplifies its passband would amplify the noise it passes.
+    try:
+        spec = design_bandstop(fundamental, n_harmonics, bandwidth, sample_rate)
+    except ParameterError:
+        return
+    assert all(np.abs(np.roots([1.0, s.a1, s.a2])).max() < 1.0 for s in spec.sections)
+    assert abs(spec.response(0.0) - 1.0) <= 1e-12
+    grid = np.linspace(0.0, sample_rate / 2.0, 20001)
+    assert np.abs(spec.response(grid)).max() <= 1.0 + 1e-12
 
 
 def test_a_spec_built_directly_is_still_held_to_the_notch_floor():
@@ -344,12 +362,22 @@ def test_coefficient_file_written_atomically(tmp_path, monkeypatch):
 
 # --- kernel loader -----------------------------------------------------------
 
-#: Filters one record with a notch cascade and with the sweep's low-pass;
-#: ``digest()`` hashes the bytes of both outputs.
+#: Each compiled scipy.signal extension the package loads by path: the
+#: function taken from it, the scipy.signal module that imports that
+#: function, and a check through scipy.signal's public API.
+EXTENSIONS = {
+    "_sosfilt": ("_sosfilt", "_signaltools",
+                 "scipy.signal.sosfilt([[1, 0, 0, 1, 0, 0]], np.ones(3)).tolist() == [1, 1, 1]"),
+    "_peak_finding_utils": ("_peak_prominences", "_peak_finding",
+                            "scipy.signal.peak_prominences([0, 2, 0], [1])[0].tolist() == [2]"),
+}
+
+#: Filters one record with a notch cascade and with the sweep's low-pass,
+#: and finds the record's maxima; ``digest()`` hashes the bytes of all three.
 DIGEST_CODE = """\
 import hashlib, sys
 import numpy as np
-from fbgvib import filtering
+from fbgvib import filtering, spectral
 
 def digest():
     t = np.arange(20000) / 1000.0
@@ -358,7 +386,9 @@ def digest():
     notched = filtering.apply_zero_phase(
         filtering.design_bandstop(2.0, 3, sample_rate_hz=1000.0), x)
     low = filtering.apply_zero_phase(filtering.design_lowpass(0.05, 1000.0), x)
-    return hashlib.sha256(notched.tobytes() + low.tobytes()).hexdigest()
+    maxima, prominences = spectral.peak_prominences(notched)
+    return hashlib.sha256(notched.tobytes() + low.tobytes() + maxima.tobytes()
+                          + prominences.tobytes()).hexdigest()
 """
 
 
@@ -383,35 +413,37 @@ def test_kernel_loads_without_the_scipy_signal_package():
     digest, = fresh_digests(
         "result = digest()\n"
         "assert 'scipy.signal' not in sys.modules\n"
-        "assert 'scipy.signal._sosfilt' in sys.modules\n"
-        "print(result)\n")
+        + "".join(f"assert 'scipy.signal.{name}' in sys.modules\n" for name in EXTENSIONS)
+        + "print(result)\n")
     assert digest == in_process_digest()
 
 
 def test_a_later_scipy_signal_import_reuses_the_loaded_kernel():
     first, second = fresh_digests(
         "first = digest()\n"
-        "module = sys.modules['scipy.signal._sosfilt']\n"
-        "loaded = filtering._sosfilt_kernel()\n"
+        "modules = dict(sys.modules)\n"
         "import scipy.signal\n"
-        "from scipy.signal import _signaltools\n"
-        "assert sys.modules['scipy.signal._sosfilt'] is module\n"
-        "assert _signaltools._sosfilt is loaded is module._sosfilt\n"
-        "assert scipy.signal.sosfilt([[1, 0, 0, 1, 0, 0]], np.ones(3)).tolist() == [1, 1, 1]\n"
-        "print(first, digest())\n")
+        + "".join(f"from scipy.signal import {user}\n"
+                  f"assert sys.modules['scipy.signal.{name}'] is modules['scipy.signal.{name}']\n"
+                  f"assert ({user}.{function} is filtering._scipy_kernel({name!r}, {function!r})"
+                  f" is modules['scipy.signal.{name}'].{function})\n"
+                  f"assert {public_check}\n"
+                  for name, (function, user, public_check) in EXTENSIONS.items())
+        + "print(first, digest())\n")
     assert first == second == in_process_digest()
 
 
-@pytest.mark.parametrize("lookup", ["lambda: None", "lambda: {broken!r}"],
+@pytest.mark.parametrize("lookup", ["lambda name: None", "lambda name: {broken!r}"],
                          ids=["no-file", "broken-file"])
 def test_kernel_loader_falls_back_to_the_package_import(tmp_path, lookup):
     broken = tmp_path / "_sosfilt.so"
     broken.write_text("not a shared object\n")
     digest, = fresh_digests(
-        f"filtering._sosfilt_path = {lookup.format(broken=str(broken))}\n"
+        f"filtering._extension_path = {lookup.format(broken=str(broken))}\n"
         "result = digest()\n"
         "assert 'scipy.signal' in sys.modules\n"
-        "from scipy.signal._sosfilt import _sosfilt\n"
-        "assert filtering._sosfilt_kernel() is _sosfilt\n"
-        "print(result)\n")
+        + "".join(f"from scipy.signal.{name} import {function}\n"
+                  f"assert filtering._scipy_kernel({name!r}, {function!r}) is {function}\n"
+                  for name, (function, _, _) in EXTENSIONS.items())
+        + "print(result)\n")
     assert digest == in_process_digest()

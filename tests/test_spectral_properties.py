@@ -7,17 +7,21 @@ sample-by-sample valley walks the spectral and sweep modules first used).
 Magnitudes are small integers times a scale, so ties, plateaus and equal
 valleys occur often; the spectral ones may be negative or of mixed sign,
 which exercises find_peaks' pruning bound (height minus the array minimum).
+Long arrays, with runs of equal samples, also come as strided and reversed
+views and as float32 and integer arrays, since the compiled prominence walk
+takes contiguous doubles only.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fbgvib import analyze_sweep_points, find_peaks
-from fbgvib.spectral import fft_forward
+from fbgvib.spectral import fft_forward, peak_prominences
 from fbgvib.sweep import _refine_peak
 
 from oracles import naive_dft, walk_find_peaks, walk_sweep_peak_indices
@@ -45,6 +49,53 @@ def test_find_peaks_matches_the_valley_walk(levels, scale, prominence_steps,
     freqs = np.arange(mags.shape[0]) * bin_hz
     min_prominence = prominence_steps * scale
     max_freq_hz = cut_bin * bin_hz
+    assert (find_peaks(freqs, mags, min_prominence, max_freq_hz)
+            == walk_find_peaks(freqs, mags, min_prominence, max_freq_hz))
+
+
+#: Views the spectral functions must read like any other array.
+LAYOUTS = {"contiguous": lambda a: a, "strided": lambda a: a[::3],
+           "reversed": lambda a: a[::-1]}
+#: (dtype, scale) of the values: integers stay whole.
+KINDS = [(np.float64, 0.01), (np.float32, 0.25), (np.int64, 1)]
+
+
+@st.composite
+def long_levels(draw):
+    """6,000 to 12,000 samples of up to 1,000 levels in runs of 1 to 4 equal
+    samples; a strided view keeps 2,000 or more. The oracle's walk costs the
+    span per peak, so the levels are many enough to keep the spans short."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = rng.integers(-draw(st.integers(0, 500)), draw(st.integers(20, 500)), size=4000)
+    return np.repeat(levels, rng.integers(1, 5, size=levels.size))
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dtype, scale", KINDS, ids=["float64", "float32", "int64"])
+@settings(max_examples=5, deadline=None)
+@given(levels=long_levels())
+def test_peak_prominences_match_the_valley_walk_on_long_arrays_and_views(levels, dtype, scale,
+                                                                         layout):
+    values = LAYOUTS[layout]((levels * scale).astype(dtype))
+    assert values.shape[0] >= 2000
+    idx, prom = peak_prominences(values)
+    walk = walk_find_peaks(np.arange(values.shape[0], dtype=float), values,
+                           0.5 * scale, math.inf)
+    assert list(zip(idx.tolist(), prom.tolist())) == sorted(
+        (p.frequency_hz, p.prominence) for p in walk)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("dtype, scale", KINDS, ids=["float64", "float32", "int64"])
+@settings(max_examples=5, deadline=None)
+@given(levels=long_levels(), prominence_steps=st.sampled_from([0.5, 3.5, 50.5]),
+       cut_share=st.one_of(st.just(math.inf), st.floats(0.5, 1.0)))
+def test_find_peaks_matches_the_valley_walk_on_long_arrays_and_views(levels, dtype, scale, layout,
+                                                                     prominence_steps, cut_share):
+    mags = LAYOUTS[layout]((levels * scale).astype(dtype))
+    freqs = np.arange(mags.shape[0]) * 0.1
+    min_prominence = prominence_steps * scale
+    max_freq_hz = cut_share * freqs[-1]
     assert (find_peaks(freqs, mags, min_prominence, max_freq_hz)
             == walk_find_peaks(freqs, mags, min_prominence, max_freq_hz))
 
