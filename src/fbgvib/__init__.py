@@ -11,19 +11,18 @@ from .dataio import WavelengthTrace
 from .errors import (DataError, ParameterError, ParseError, SensingError,
                      UndampedResonanceError)
 from .events import EventReport, StepEvent, detect_steps
-from .filtering import (BiquadSection, FilterSpec, apply_zero_phase,
-                        design_bandstop, design_lowpass, save_filter_spec)
+from .filtering import (FilterSpec, apply_zero_phase, design_bandstop,
+                        design_lowpass, save_filter_spec)
 from .shape import (CalibrationModel, CmGeometry, ShapeEstimate,
-                    default_calibration, fit_calibration, load_calibration,
-                    reconstruct, tips_for_curvatures, wavelength_to_curvature)
+                    default_calibration, load_calibration, reconstruct,
+                    tips_for_curvatures, wavelength_to_curvature)
 from .spectral import (SpectralFeatures, SpectralPeak, features_from_spectrum,
                        find_peaks, identify_features, magnitude_spectrum)
 from .sweep import (ResonanceReport, analyze_sweep_points, default_rpm_grid,
                     ingest_sweep_dir, run_sweep, steady_amplitude)
 from .vib_model import (BendProfile, Scenario, TwoDofParams, bend_curvature,
-                        calibrate_default_params, default_params, frf_amplitude,
-                        frf_response, output_amplitude, output_response,
-                        preset_scenario, simulate)
+                        default_params, frf_amplitude, frf_response,
+                        output_response, preset_scenario, simulate)
 
 __version__ = "0.1.0"
 

@@ -160,9 +160,10 @@ def _cmd_shape(args):
         aa_positions_mm=(0.25 * length, 0.5 * length, 0.75 * length))
     index = trace.n_samples - 1
     if args.at_time is not None:
-        index = int(round((args.at_time - trace.t0) * trace.sample_rate_hz))
-        if not (0 <= index < trace.n_samples):
+        position = (args.at_time - trace.t0) * trace.sample_rate_hz
+        if not (math.isfinite(position) and 0 <= round(position) < trace.n_samples):
             raise ParameterError(f"--at-time {args.at_time} outside the record")
+        index = int(round(position))
     curvatures = shape.wavelength_to_curvature(trace.channels[index], calibration)
     estimate = shape.reconstruct(curvatures, geometry)
     dataio.atomic_write_text(args.out, shape.shape_csv_text(estimate))

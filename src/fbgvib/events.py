@@ -68,6 +68,8 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
         raise ParameterError("configuration must satisfy threshold_nm > drift_nm > 0")
     if not all(np.isfinite(v) and v > 0 for v in (window_s, sample_rate_hz)):
         raise ParameterError("window_s and sample_rate_hz must be finite and positive")
+    if not np.isfinite(window_s * sample_rate_hz):
+        raise ParameterError("window_s * sample_rate_hz overflows a sample count")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")

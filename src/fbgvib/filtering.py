@@ -40,48 +40,36 @@ MIN_BANDWIDTH_HZ = 0.2
 DEFAULT_N_HARMONICS = 3
 
 
-@dataclass(frozen=True)
-class BiquadSection:
-    """Second-order rational section with unit leading denominator."""
-
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-    _pole_radius: float = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.b0, self.b1, self.b2, self.a1, self.a2)):
-            raise ParameterError("section coefficients must be finite")
-        poles = np.roots([1.0, self.a1, self.a2])
-        radius = float(np.max(np.abs(poles))) if poles.size else 0.0
-        if radius >= 1.0:
-            raise ParameterError("unstable section: poles must lie inside the unit circle")
-        object.__setattr__(self, "_pole_radius", radius)
-
-    def pole_radius(self):
-        """Largest pole magnitude, found once when the section is built."""
-        return self._pole_radius
-
-    def response(self, z_inv):
-        num = self.b0 + self.b1 * z_inv + self.b2 * z_inv * z_inv
-        den = 1.0 + self.a1 * z_inv + self.a2 * z_inv * z_inv
-        return num / den
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterSpec:
-    """Immutable cascade of stable second-order sections."""
+    """Immutable cascade of stable second-order sections.
 
-    sections: tuple
+    ``sos`` is the matrix scipy's ``_sosfilt`` runs, one row
+    ``b0 b1 b2 1 a1 a2`` per section. It is checked, and its largest pole
+    radius found, once when the spec is built; it is read-only after that.
+    A spec compares and hashes by identity.
+    """
+
+    sos: np.ndarray
     sample_rate_hz: float
     notches: tuple = ()  # (center_hz, bandwidth_hz) per declared notch
+    pole_radius: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if not _finite_positive(self.sample_rate_hz):
             raise ParameterError("sample_rate_hz must be finite and positive")
-        object.__setattr__(self, "sections", tuple(self.sections))
+        sos = np.array(self.sos, dtype=float)
+        if not np.isfinite(sos).all():
+            raise ParameterError("section coefficients must be finite")
+        if sos.ndim != 2 or sos.shape[1] != 6 or not (sos[:, 3] == 1.0).all():
+            raise ParameterError("sos must hold one row b0 b1 b2 1 a1 a2 per section")
+        radius = max((float(np.abs(np.roots(row[3:])).max(initial=0.0)) for row in sos),
+                     default=0.0)
+        if radius >= 1.0:
+            raise ParameterError("unstable section: poles must lie inside the unit circle")
+        sos.flags.writeable = False
+        object.__setattr__(self, "sos", sos)
+        object.__setattr__(self, "pole_radius", radius)
         object.__setattr__(self, "notches", tuple(self.notches))
         for center, _ in self.notches:
             gain = abs(self.response(center))
@@ -94,8 +82,8 @@ class FilterSpec:
         f = np.asarray(frequency_hz, dtype=float)
         z_inv = np.exp(-2j * np.pi * f / self.sample_rate_hz)
         h = np.ones_like(z_inv, dtype=complex)
-        for s in self.sections:
-            h *= s.response(z_inv)
+        for b0, b1, b2, _, a1, a2 in self.sos.tolist():
+            h *= (b0 + b1 * z_inv + b2 * z_inv * z_inv) / (1.0 + a1 * z_inv + a2 * z_inv * z_inv)
         if np.isscalar(frequency_hz):
             return complex(h)
         return h
@@ -113,7 +101,7 @@ def _notch_section(center_hz, bandwidth_hz, sample_rate_hz):
     # k = (1 + a2) / 2 comes first, so b1 is a1 and the DC gain is exactly 1.
     k = 1.0 / (1.0 + np.tan(np.pi * bandwidth_hz / sample_rate_hz))
     b1 = -2.0 * k * np.cos(2.0 * np.pi * center_hz / sample_rate_hz)
-    return BiquadSection(b0=k, b1=b1, b2=k, a1=b1, a2=2.0 * k - 1.0)
+    return (k, b1, k, 1.0, b1, 2.0 * k - 1.0)
 
 
 def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
@@ -148,8 +136,8 @@ def design_bandstop(fundamental_hz, n_harmonics=DEFAULT_N_HARMONICS,
 @functools.lru_cache(maxsize=64)
 def _bandstop(centers, bandwidth_hz, sample_rate_hz):
     """One frozen cascade, and one notch-floor check, per distinct design."""
-    sections = tuple(_notch_section(c, bandwidth_hz, sample_rate_hz) for c in centers)
-    return FilterSpec(sections=sections, sample_rate_hz=sample_rate_hz,
+    sos = [_notch_section(c, bandwidth_hz, sample_rate_hz) for c in centers]
+    return FilterSpec(sos=sos, sample_rate_hz=sample_rate_hz,
                       notches=tuple((c, bandwidth_hz) for c in centers))
 
 
@@ -165,25 +153,19 @@ def design_lowpass(cutoff_hz, sample_rate_hz):
     a2 = (1.0 - np.sqrt(2.0) * k + k * k) * norm
     # b0 + b1 + b2 == 1 + a1 + a2 in floating point: exactly unit DC gain.
     b0 = (1.0 + a1 + a2) / 4.0
-    section = BiquadSection(b0=b0, b1=2.0 * b0, b2=b0, a1=a1, a2=a2)
-    return FilterSpec(sections=(section,), sample_rate_hz=sample_rate_hz)
+    return FilterSpec(sos=[(b0, 2.0 * b0, b0, 1.0, a1, a2)], sample_rate_hz=sample_rate_hz)
 
 
 def transient_samples(spec, n_time_constants=3.0):
     """Edge-transient extent: n time constants of the slowest pole.
 
-    Reads each section's pole radius, which was found when it was built.
+    Reads the spec's pole radius, which was found when it was built.
     """
-    radii = [s.pole_radius() for s in spec.sections]
-    r = max(radii) if radii else 0.0
+    r = spec.pole_radius
     if r <= 0:
         return 12
     tau = -1.0 / np.log(r)
     return int(max(n_time_constants * tau, 12))
-
-
-def _pad_length(spec, n):
-    return min(transient_samples(spec), n - 1)
 
 
 def _extension_path(name):
@@ -237,15 +219,17 @@ def apply_zero_phase(spec, x):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")
-    if x.shape[0] <= 6 * max(len(spec.sections), 1):
+    if x.shape[0] <= 6 * max(spec.sos.shape[0], 1):
         raise DataError("record too short for the edge-transient margin")
-    pad = _pad_length(spec, x.shape[0])
+    pad = min(transient_samples(spec), x.shape[0] - 1)
     # Odd reflection preserves slope continuity at both edges.
     left = 2.0 * x[0] - x[pad:0:-1]
     right = 2.0 * x[-1] - x[-2:-pad - 2:-1]
     y = np.concatenate((left, x, right))
-    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in spec.sections]).reshape(-1, 6)
-    dc_gain = math.prod((s.b0 + s.b1 + s.b2) / (1.0 + s.a1 + s.a2) for s in spec.sections)
+    # _sosfilt refuses the spec's read-only matrix, so it gets a copy.
+    sos = spec.sos.copy()
+    dc_gain = math.prod((b0 + b1 + b2) / (1.0 + a1 + a2)
+                        for b0, b1, b2, _, a1, a2 in sos.tolist())
     # Work arrays reused by both passes: fresh ones would be page-faulted in.
     d, f = np.empty((2, 1, y.shape[0]))
     for _ in range(2):
@@ -266,7 +250,7 @@ def apply_zero_phase(spec, x):
 
 def save_filter_spec(path, spec):
     """Write one section per line: b0 b1 b2 a1 a2 (full double precision)."""
-    lines = [" ".join(f"{v:.17e}" for v in (s.b0, s.b1, s.b2, s.a1, s.a2))
-             for s in spec.sections]
+    lines = [" ".join(f"{v:.17e}" for v in row)
+             for row in spec.sos[:, [0, 1, 2, 4, 5]].tolist()]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -76,9 +76,9 @@ class CmGeometry:
 
     def __post_init__(self):
         pos = tuple(float(p) for p in self.aa_positions_mm)
-        if self.length_mm <= 0:
-            raise ParameterError("length_mm must be positive")
-        if not pos or any(p <= 0 for p in pos) or any(
+        if not (math.isfinite(self.length_mm) and self.length_mm > 0):
+            raise ParameterError("length_mm must be finite and positive")
+        if not pos or any(not math.isfinite(p) or p <= 0 for p in pos) or any(
                 b <= a for a, b in zip(pos, pos[1:])) or pos[-1] > self.length_mm:
             raise ParameterError(
                 "active-area positions must be strictly increasing in (0, length_mm]")
@@ -123,6 +123,8 @@ def reconstruct(curvatures_inv_m, geometry=CmGeometry()):
     seg_lengths = geometry.segment_lengths_mm()
     if kappa.shape != (len(seg_lengths),):
         raise DataError(f"expected {len(seg_lengths)} curvature values, got {kappa.shape}")
+    if not all(math.isfinite(ell / POLYLINE_STEP_MM) for ell in seg_lengths):
+        raise ParameterError("segment length overflows a polyline step count")
     tip = tuple(float(v) for v in tips_for_curvatures(kappa[None], geometry)[0])
 
     rows = [(0.0, 0.0, 0.0)]
@@ -153,38 +155,8 @@ def tips_for_curvatures(curvature_rows_inv_m, geometry=CmGeometry()):
     return np.column_stack((x, z))
 
 
-def fit_calibration(samples):
-    """Least-squares line per active area from (wavelengths, curvature) pairs.
-
-    Requires at least two distinct curvature levels. Returns the fitted
-    model and the per-area residual RMS (nm).
-    """
-    if len(samples) < 2:
-        raise DataError("at least two calibration samples are required")
-    curvatures = np.array([float(k) for _, k in samples])
-    wl = np.array([np.asarray(w, dtype=float) for w, _ in samples])
-    if wl.ndim != 2:
-        raise DataError("each sample must carry one wavelength per active area")
-    if np.unique(curvatures).size < 2:
-        raise DataError("calibration needs at least two distinct curvature levels")
-    design = np.column_stack((np.ones_like(curvatures), curvatures))
-    coef, *_ = np.linalg.lstsq(design, wl, rcond=None)
-    residuals = wl - design @ coef
-    rms = np.sqrt(np.mean(residuals ** 2, axis=0))
-    model = CalibrationModel(base_wavelengths_nm=tuple(coef[0]),
-                             sensitivities_nm_per_invm=tuple(coef[1]))
-    return model, rms
-
-
 def shape_csv_text(estimate):
     return csv_text("s_mm,x_mm,z_mm", "{:.6f},{:.9f},{:.9f}\n", estimate.centerline_mm.T)
-
-
-def calibration_csv_text(model):
-    return csv_text("aa_index,base_wavelength_nm,sensitivity_nm_per_invm",
-                    "{:.0f},{:.9f},{:.9f}\n",
-                    (range(model.n_areas), model.base_wavelengths_nm,
-                     model.sensitivities_nm_per_invm))
 
 
 def load_calibration(path):

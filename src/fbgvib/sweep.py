@@ -151,6 +151,8 @@ def analyze_sweep_points(points, params):
 
 
 def default_rpm_grid(low=10.0, high=2400.0, n_points=40):
+    if not (low > 0 and high > 0):
+        raise ParameterError(f"rpm grid bounds must be positive, got {low} and {high}")
     return tuple(float(r) for r in np.geomspace(low, high, n_points))
 
 

@@ -72,44 +72,6 @@ class TwoDofParams:
         return tuple(np.sqrt(lam) / (2.0 * np.pi))
 
 
-def calibrate_default_params(f1_hz, f2_hz, mass_ratio, damping_ratio):
-    """Solve stiffnesses so the undamped modes land on the given targets.
-
-    With m1 = 1 kg and m2 = mass_ratio, the two stiffnesses follow from the
-    sum and product of the characteristic-polynomial roots; the soft
-    coupling branch (smaller k2) is selected so the low mode is dominated
-    by the sensor coordinate. Dampers are sized for roughly the requested
-    ratio on each mode.
-
-    Raises ParameterError when the targets admit no positive-stiffness
-    solution or are not strictly ordered.
-    """
-    if not (0.0 < f1_hz < f2_hz):
-        raise ParameterError("targets must satisfy 0 < f1_hz < f2_hz")
-    if not (0.0 < mass_ratio < 1.0):
-        raise ParameterError("mass_ratio must lie in (0, 1)")
-    if not (0.0 <= damping_ratio < 1.0):
-        raise ParameterError("damping_ratio must lie in [0, 1)")
-    m1 = 1.0
-    m2 = mass_ratio
-    lam1 = (2.0 * np.pi * f1_hz) ** 2
-    lam2 = (2.0 * np.pi * f2_hz) ** 2
-    # (m1+m2) k2^2 - (lam1+lam2) m1 m2 k2 + m1 m2^2 lam1 lam2 = 0
-    a = m1 + m2
-    b = -(lam1 + lam2) * m1 * m2
-    c = m1 * m2 * m2 * lam1 * lam2
-    disc = b * b - 4.0 * a * c
-    if disc <= 0:
-        raise ParameterError("no positive-stiffness solution for these targets")
-    k2 = (-b - np.sqrt(disc)) / (2.0 * a)
-    if k2 <= 0:
-        raise ParameterError("no positive-stiffness solution for these targets")
-    k1 = lam1 * lam2 * m1 * m2 / k2
-    c1 = 2.0 * damping_ratio * m1 * np.sqrt(lam2)
-    c2 = 2.0 * damping_ratio * m2 * np.sqrt(lam1)
-    return TwoDofParams(m1=m1, m2=m2, k1=k1, k2=k2, c1=c1, c2=c2)
-
-
 def frf_response(params, forcing_hz):
     """Complex steady-state displacement of both coordinates (m).
 
@@ -147,23 +109,44 @@ def output_response(params, forcing_hz):
     return params.gain2 * frf_response(params, forcing_hz)[1] + 0.0
 
 
-def output_amplitude(params, forcing_hz):
-    """Wavelength oscillation amplitude (nm) seen on a trace channel."""
-    return abs(output_response(params, forcing_hz))
-
-
 def default_params(natural_f1_hz=0.4, natural_f2_hz=16.0, mass_ratio=0.1,
                    damping_ratio=0.05):
     """Calibrated model: modes at 0.4 and 16 Hz, plateau pinned at 240 rpm.
 
-    Any of the four model values can be replaced; the gain is still pinned
-    so the sensor oscillates DEFAULT_PLATEAU_NM at the 240 rpm (4 Hz)
-    operating point.
+    With m1 = 1 kg and m2 = mass_ratio, the stiffnesses that put the
+    undamped modes on the two targets follow from the sum and product of
+    the characteristic-polynomial roots; the soft coupling branch (smaller
+    k2) keeps the low mode in the sensor coordinate. Dampers give roughly
+    damping_ratio on each mode. Whatever the four values, the gain is pinned
+    so the sensor oscillates DEFAULT_PLATEAU_NM at 240 rpm (4 Hz). Raises
+    ParameterError for targets not strictly ordered or with no
+    positive-stiffness solution.
     """
-    p = calibrate_default_params(natural_f1_hz, natural_f2_hz,
-                                 mass_ratio=mass_ratio, damping_ratio=damping_ratio)
-    anchor_hz = 4.0
-    _, x2 = frf_response(p, anchor_hz)
+    if not (0.0 < natural_f1_hz < natural_f2_hz):
+        raise ParameterError("targets must satisfy 0 < f1_hz < f2_hz")
+    if not (0.0 < mass_ratio < 1.0):
+        raise ParameterError("mass_ratio must lie in (0, 1)")
+    if not (0.0 <= damping_ratio < 1.0):
+        raise ParameterError("damping_ratio must lie in [0, 1)")
+    m1 = 1.0
+    m2 = mass_ratio
+    lam1 = (2.0 * np.pi * natural_f1_hz) ** 2
+    lam2 = (2.0 * np.pi * natural_f2_hz) ** 2
+    # (m1+m2) k2^2 - (lam1+lam2) m1 m2 k2 + m1 m2^2 lam1 lam2 = 0
+    a = m1 + m2
+    b = -(lam1 + lam2) * m1 * m2
+    c = m1 * m2 * m2 * lam1 * lam2
+    disc = b * b - 4.0 * a * c
+    if disc <= 0:
+        raise ParameterError("no positive-stiffness solution for these targets")
+    k2 = (-b - np.sqrt(disc)) / (2.0 * a)
+    if k2 <= 0:
+        raise ParameterError("no positive-stiffness solution for these targets")
+    k1 = lam1 * lam2 * m1 * m2 / k2
+    c1 = 2.0 * damping_ratio * m1 * np.sqrt(lam2)
+    c2 = 2.0 * damping_ratio * m2 * np.sqrt(lam1)
+    p = TwoDofParams(m1=m1, m2=m2, k1=k1, k2=k2, c1=c1, c2=c2)
+    _, x2 = frf_response(p, 4.0)
     return replace(p, gain2=DEFAULT_PLATEAU_NM / abs(x2))
 
 
@@ -306,6 +289,8 @@ def simulate(scenario, params, seed=0):
     seed).
     """
     fs = scenario.sample_rate_hz
+    if not np.isfinite(scenario.duration_s * fs):
+        raise ParameterError("duration_s * sample_rate_hz overflows a sample count")
     n = int(round(scenario.duration_s * fs))
     if n < 1:
         raise ParameterError("duration_s too short for one sample")

@@ -18,7 +18,7 @@ from scipy.signal import sosfilt, sosfilt_zi
 
 from fbgvib import ParameterError, ParseError, WavelengthTrace
 from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
-from fbgvib.filtering import _pad_length
+from fbgvib.filtering import transient_samples
 from fbgvib.shape import BAND_NM
 from fbgvib.spectral import SpectralPeak
 from fbgvib.sweep import PEAK_PROMINENCE_RATIO
@@ -229,7 +229,7 @@ def line_walk_parse_trace_csv(path):
 
 
 def _odd_reflect(spec, x):
-    pad = _pad_length(spec, x.shape[0])
+    pad = min(transient_samples(spec), x.shape[0] - 1)
     left = 2 * x[0] - x[pad:0:-1]
     right = 2 * x[-1] - x[-2:-pad - 2:-1]
     return pad, np.concatenate((left, x, right))
@@ -245,7 +245,7 @@ def sosfilt_zero_phase(spec, x):
     """
     x = np.asarray(x, dtype=float)
     pad, y = _odd_reflect(spec, x)
-    sos = np.array([[s.b0, s.b1, s.b2, 1.0, s.a1, s.a2] for s in spec.sections])
+    sos = np.array(spec.sos)
     zi = sosfilt_zi(sos)
     for _ in range(2):
         y, _ = sosfilt(sos, y, zi=zi * y[0])
@@ -266,8 +266,7 @@ def longdouble_zero_phase(spec, x):
     """
     x = np.asarray(x, dtype=np.longdouble)
     pad, y = _odd_reflect(spec, x)
-    sections = [tuple(np.longdouble(v) for v in (s.b0, s.b1, s.b2, s.a1, s.a2))
-                for s in spec.sections]
+    sections = [tuple(np.longdouble(v) for v in row[[0, 1, 2, 4, 5]]) for row in spec.sos]
     gain = np.longdouble(1)
     for b0, b1, b2, a1, a2 in sections:
         gain *= (b0 + b1 + b2) / (1 + a1 + a2)

@@ -206,6 +206,21 @@ def test_sweep_with_fewer_than_ten_points_is_usage_error(tmp_path, capsys, bound
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("low,high", [("0", "2400"), ("10", "0"), ("-5", "2400"),
+                                     ("10", "-1")],
+                         ids=["zero-min", "zero-max", "negative-min", "negative-max"])
+def test_sweep_with_a_non_positive_rpm_bound_is_usage_error(tmp_path, capsys, recwarn,
+                                                            low, high):
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", f"--rpm-min={low}", f"--rpm-max={high}",
+                           "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: rpm grid bounds must be positive, got {float(low)} and {float(high)}"]
+    assert not recwarn.list
+    assert not out_csv.exists()
+
+
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory, params):
     """Three recorded rates, rpm_<value>.csv, for sweep --from-dir."""
@@ -366,6 +381,28 @@ def test_non_finite_float_flag_is_usage_error(tmp_path, capsys, monkeypatch,
                            "--out", "out.csv")
     assert status == 2 and out == ""
     assert err.splitlines() == [f"error: argument {flag}: must be finite, got {value!r}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("detect", ["t.csv", "--window", "1e308"]),
+    ("simulate", ["--rpm", "120", "--duration", "1e308"]),
+    ("simulate", ["--rpm", "120", "--sample-rate", "1e308"]),
+    ("sweep", ["--duration", "1e308"]),
+    ("shape", ["t.csv", "--length", "1e308"]),
+    ("shape", ["t.csv", "--length", "1.7e308"]),
+    ("shape", ["t.csv", "--at-time", "1e308"]),
+], ids=["detect-window", "simulate-duration", "simulate-rate", "sweep-duration",
+        "shape-length", "shape-length-midpoints", "shape-at-time"])
+def test_a_finite_flag_whose_sample_count_overflows_is_usage_error(
+        tmp_path, capsys, monkeypatch, recwarn, command, flags):
+    # Only counts that overflow to infinity: a huge finite one would allocate.
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "simulate", "--rpm", "120", "--duration", "2", "--out", "t.csv")
+    status, out, err = run(capsys, command, *flags, "--out", "out.csv")
+    assert status == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not recwarn.list
     assert not (tmp_path / "out.csv").exists()
 
 

@@ -10,9 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fbgvib import (BiquadSection, DataError, FilterSpec, ParameterError,
-                    apply_zero_phase, design_bandstop, design_lowpass,
-                    save_filter_spec)
+from fbgvib import (DataError, FilterSpec, ParameterError, apply_zero_phase,
+                    design_bandstop, design_lowpass, save_filter_spec)
 
 from oracles import longdouble_zero_phase, sine_amplitude, sosfilt_zero_phase
 
@@ -20,8 +19,7 @@ FS = 1000.0
 
 
 def identity_spec():
-    return FilterSpec(sections=(BiquadSection(1.0, 0.0, 0.0, 0.0, 0.0),),
-                      sample_rate_hz=FS)
+    return FilterSpec(sos=[[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]], sample_rate_hz=FS)
 
 
 # --- design ----------------------------------------------------------------
@@ -44,32 +42,60 @@ def test_notch_at_nyquist_rejected():
         design_bandstop(300.0, 2, 1.0, FS)
 
 
+def fresh_pole_radius(sos):
+    """Largest pole magnitude of the rows b0 b1 b2 1 a1 a2, each found anew."""
+    radii = [0.0]
+    for _, _, _, _, a1, a2 in sos:
+        poles = np.roots([1.0, a1, a2])
+        if poles.size:
+            radii.append(float(np.max(np.abs(poles))))
+    return max(radii)
+
+
 def test_sections_are_stable():
     spec = design_bandstop(2.0, 3, sample_rate_hz=FS)
-    for s in spec.sections:
-        assert s.pole_radius() < 1.0
+    assert spec.sos.shape == (3, 6)
+    assert 0.0 < spec.pole_radius == fresh_pole_radius(spec.sos) < 1.0
 
 
-def test_unstable_section_rejected_at_construction():
-    with pytest.raises(ParameterError):
-        BiquadSection(1.0, 0.0, 0.0, -2.2, 1.21)  # poles outside unit circle
-
-
-def fresh_pole_radius(section):
-    poles = np.roots([1.0, section.a1, section.a2])
-    return float(np.max(np.abs(poles))) if poles.size else 0.0
+@pytest.mark.parametrize("sos,message", [
+    ([[1.0, 0.0, 0.0, 1.0, -2.2, 1.21]], "unstable"),  # poles outside unit circle
+    ([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 0.0, -1.0]], "unstable"),
+    ([[1.0, 0.0, 0.0, 2.0, 0.0, 0.0]], "one row"),
+    ([1.0, 0.0, 0.0, 1.0, 0.0, 0.0], "one row"),
+    ([[1.0, 0.0, 0.0, 1.0, 0.0]], "one row"),
+], ids=["unstable", "unstable-second-row", "a0", "flat", "five-columns"])
+def test_unstable_or_malformed_section_rejected_at_construction(sos, message):
+    with pytest.raises(ParameterError, match=message):
+        FilterSpec(sos=sos, sample_rate_hz=FS)
 
 
 @pytest.mark.parametrize("sample_rate_hz", [250.0, 1000.0, 4000.0])
 def test_pole_radius_equals_a_fresh_root_finding_bit_for_bit(sample_rate_hz):
-    sections = [design_lowpass(cutoff, sample_rate_hz).sections[0]
-                for cutoff in (0.05, 1.0, 20.0)]
+    specs = [design_lowpass(cutoff, sample_rate_hz) for cutoff in (0.05, 1.0, 20.0)]
     for rpm in (24.0, 240.0, 960.0, 2400.0):
         for bandwidth_hz in (None, 0.2, 1.5):
-            sections += design_bandstop(rpm / 60.0, bandwidth_hz=bandwidth_hz,
-                                        sample_rate_hz=sample_rate_hz).sections
-    for s in sections:
-        assert s.pole_radius() == fresh_pole_radius(s)
+            spec = design_bandstop(rpm / 60.0, bandwidth_hz=bandwidth_hz,
+                                   sample_rate_hz=sample_rate_hz)
+            specs.append(spec)
+            # Each notch alone: the radius of every row, not only the largest.
+            specs += [FilterSpec(sos=row[None], sample_rate_hz=sample_rate_hz)
+                      for row in spec.sos]
+    for spec in specs:
+        assert spec.pole_radius == fresh_pole_radius(spec.sos)
+    assert identity_spec().pole_radius == 0.0 == fresh_pole_radius(identity_spec().sos)
+
+
+def test_a_spec_owns_a_read_only_matrix_and_compares_by_identity():
+    rows = np.array(design_bandstop(4.0, sample_rate_hz=FS).sos)
+    spec = FilterSpec(sos=rows, sample_rate_hz=FS)
+    rows[0, 0] = 2.0
+    assert spec.sos[0, 0] != 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.sos[0, 0] = 2.0
+    twin = FilterSpec(sos=spec.sos, sample_rate_hz=FS)
+    assert spec == spec and spec != twin
+    assert len({spec, twin, spec}) == 2
 
 
 def test_filtering_finds_no_roots_once_the_spec_exists(monkeypatch):
@@ -88,8 +114,8 @@ def test_filtering_finds_no_roots_once_the_spec_exists(monkeypatch):
 def test_equal_designs_share_their_sections():
     first = design_bandstop(4.0, sample_rate_hz=FS)
     again = design_bandstop(4.0, sample_rate_hz=FS)
-    assert again == first
-    assert all(a is b for a, b in zip(again.sections, first.sections))
+    assert again is first
+    assert again.sos is first.sos
 
 
 @pytest.mark.parametrize("fundamental", [4.0, np.float64(4.0), np.array(4.0)],
@@ -121,7 +147,7 @@ def test_no_design_gains_anywhere(fundamental, n_harmonics, bandwidth, sample_ra
         spec = design_bandstop(fundamental, n_harmonics, bandwidth, sample_rate)
     except ParameterError:
         return
-    assert all(np.abs(np.roots([1.0, s.a1, s.a2])).max() < 1.0 for s in spec.sections)
+    assert fresh_pole_radius(spec.sos) < 1.0
     assert abs(spec.response(0.0) - 1.0) <= 1e-12
     grid = np.linspace(0.0, sample_rate / 2.0, 20001)
     assert np.abs(spec.response(grid)).max() <= 1.0 + 1e-12
@@ -130,8 +156,7 @@ def test_no_design_gains_anywhere(fundamental, n_harmonics, bandwidth, sample_ra
 def test_a_spec_built_directly_is_still_held_to_the_notch_floor():
     notch = design_bandstop(4.0, 1, 0.5, FS)
     with pytest.raises(ParameterError, match="-40.0 dB"):
-        FilterSpec(sections=identity_spec().sections, sample_rate_hz=FS,
-                   notches=notch.notches)
+        FilterSpec(sos=identity_spec().sos, sample_rate_hz=FS, notches=notch.notches)
 
 
 @pytest.mark.parametrize("fundamental", [np.float64(4.0), np.array(4.0)],
@@ -158,9 +183,9 @@ def test_lowpass_bad_cutoff_rejected():
     lambda v: design_bandstop(2.0, 3, 0.5, v),
     lambda v: design_lowpass(v, FS),
     lambda v: design_lowpass(10.0, v),
-    lambda v: FilterSpec(sections=(), sample_rate_hz=v),
-    lambda v: BiquadSection(1.0, 0.0, 0.0, v, 0.0),
-    lambda v: BiquadSection(v, 0.0, 0.0, 0.0, 0.0),
+    lambda v: FilterSpec(sos=identity_spec().sos, sample_rate_hz=v),
+    lambda v: FilterSpec(sos=[[1.0, 0.0, 0.0, 1.0, v, 0.0]], sample_rate_hz=FS),
+    lambda v: FilterSpec(sos=[[v, 0.0, 0.0, 1.0, 0.0, 0.0]], sample_rate_hz=FS),
 ], ids=["fundamental", "bandwidth", "bandstop-rate", "cutoff", "lowpass-rate",
         "spec-rate", "pole-coefficient", "zero-coefficient"])
 def test_non_finite_parameter_rejected(call, bad):
@@ -270,14 +295,13 @@ def designs(draw):
             assume(False)
     # A coefficient file may hold sections whose DC gain is not one.
     k = draw(st.sampled_from([1.0, 0.5, 2.0]))
-    return FilterSpec(sections=[BiquadSection(k * s.b0, k * s.b1, k * s.b2, s.a1, s.a2)
-                                for s in spec.sections], sample_rate_hz=FS)
+    return FilterSpec(sos=spec.sos * [k, k, k, 1.0, 1.0, 1.0], sample_rate_hz=FS)
 
 
 @settings(max_examples=80, deadline=None)
 @given(spec=designs(), data=st.data())
 def test_matches_the_sosfilt_cascade(spec, data):
-    n = data.draw(st.integers(6 * len(spec.sections) + 1, 4000))
+    n = data.draw(st.integers(6 * len(spec.sos) + 1, 4000))
     x = 1535.0 + data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
     got = apply_zero_phase(spec, x)
     ref = sosfilt_zero_phase(spec, x)
@@ -341,8 +365,8 @@ def test_coefficient_file_round_trip(tmp_path):
     save_filter_spec(path, spec)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
-    for s, line in zip(spec.sections, lines):
-        assert tuple(float(v) for v in line.split()) == (s.b0, s.b1, s.b2, s.a1, s.a2)
+    for (b0, b1, b2, _, a1, a2), line in zip(spec.sos.tolist(), lines):
+        assert tuple(float(v) for v in line.split()) == (b0, b1, b2, a1, a2)
 
 
 def test_coefficient_file_written_atomically(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import subprocess
 import sys
 from pathlib import Path
@@ -24,10 +25,26 @@ def test_module_imports_first_and_on_its_own(module):
     assert result.returncode == 0, result.stderr
 
 
-#: What perfbench/run.py reads from the package besides the traced functions.
-BENCHMARK_READS = {"filtering": ("transient_samples",),
+#: What perfbench reads from the package besides the traced functions; the
+#: module "" is the package itself.
+BENCHMARK_READS = {"": ("__version__",),
+                   "filtering": ("transient_samples",),
+                   "shape": ("default_calibration",),
                    "sweep": ("DEFAULT_SHAPE_CUTOFF_HZ", "SETTLE_TIME_CONSTANTS",
-                             "DEFAULT_DISCARD_FRACTION", "default_rpm_grid")}
+                             "DEFAULT_DISCARD_FRACTION", "default_rpm_grid"),
+                   "vib_model": ("Scenario", "BendProfile")}
+
+#: Parameters that perfbench/tracing.py's counters read by name from the
+#: bound arguments of a traced call.
+COUNTED_PARAMETERS = {"dataio.parse_trace_csv": ("path",),
+                      "dataio.atomic_write_text": ("text",),
+                      "spectral.find_peaks": ("freqs", "mags", "max_freq_hz"),
+                      "filtering.apply_zero_phase": ("x",),
+                      "events.detect_steps": ("x", "window_s", "sample_rate_hz")}
+
+
+def package_module(name):
+    return importlib.import_module(f"fbgvib.{name}" if name else "fbgvib")
 
 
 def benchmark_wrapped():
@@ -44,7 +61,15 @@ def test_every_name_the_benchmark_uses_exists():
                for table in (benchmark_wrapped(), BENCHMARK_READS)
                for module, names in table.items()
                for name in names
-               if not hasattr(importlib.import_module(f"fbgvib.{module}"), name)]
+               if not hasattr(package_module(module), name)]
+    for function, names in COUNTED_PARAMETERS.items():
+        module, name = function.split(".")
+        parameters = inspect.signature(getattr(package_module(module), name)).parameters
+        missing += [f"{function}({p})" for p in names if p not in parameters]
+    calibration = package_module("shape").default_calibration()
+    missing += [f"CalibrationModel.{name}"
+                for name in ("base_wavelengths_nm", "sensitivities_nm_per_invm")
+                if not hasattr(calibration, name)]
     assert missing == []
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from fbgvib import (DataError, ParameterError, Scenario, analyze_sweep_points,
                     default_rpm_grid, frf_amplitude, ingest_sweep_dir,
-                    output_amplitude, run_sweep, simulate, steady_amplitude)
+                    output_response, run_sweep, simulate, steady_amplitude)
 from fbgvib.dataio import write_trace_csv
 from fbgvib.sweep import report_csv_text, summary_text
 
@@ -35,7 +35,7 @@ def test_960rpm_matches_gain_scaled_frf(params):
                         harmonic_weights=(1.0,))
     trace = simulate(scenario, params, seed=0)
     amp = steady_amplitude(trace.channel(0), FS, expected_fundamental_hz=16.0)
-    assert amp == pytest.approx(output_amplitude(params, 16.0), rel=0.02)
+    assert amp == pytest.approx(abs(output_response(params, 16.0)), rel=0.02)
 
 
 def test_too_few_periods_rejected():
@@ -93,7 +93,7 @@ def test_attribution_consistent_with_frf(report, params):
 
 def test_amplitudes_track_frf_within_2pct(report, params):
     for rpm, amp in report.points:
-        predicted = output_amplitude(params, rpm / 60.0)
+        predicted = abs(output_response(params, rpm / 60.0))
         assert amp == pytest.approx(predicted, rel=0.02)
 
 
@@ -127,7 +127,7 @@ def test_ingest_directory_round_trip(tmp_path, params):
     # Sparse 200 Hz sampling underestimates peak-to-peak at high rates, so
     # this checks the ingestion plumbing rather than estimator precision.
     for rpm, amp in report.points:
-        assert amp == pytest.approx(output_amplitude(params, rpm / 60.0), rel=0.2)
+        assert amp == pytest.approx(abs(output_response(params, rpm / 60.0)), rel=0.2)
 
 
 def test_ingest_empty_directory_rejected(tmp_path, params):
