@@ -136,11 +136,11 @@ def _cmd_filter(args):
         spec = filtering.design_bandstop(
             fundamental, n_harmonics=args.notch_harmonics,
             bandwidth_hz=args.bandwidth_hz, sample_rate_hz=trace.sample_rate_hz)
-        channels = np.column_stack([
-            filtering.apply_zero_phase(spec, trace.channel(i))
-            for i in range(trace.channels.shape[1])])
+        block = np.empty((trace.channels.shape[1], trace.n_samples))
+        for i, row in enumerate(block):
+            row[:] = filtering.apply_zero_phase(spec, trace.channel(i))
         filtered.append(dataio.WavelengthTrace(
-            sample_rate_hz=trace.sample_rate_hz, channels=channels,
+            sample_rate_hz=trace.sample_rate_hz, channels=block.T,
             t0=trace.t0, labels=trace.labels))
     if args.save_spec:
         filtering.save_filter_spec(args.save_spec, spec)

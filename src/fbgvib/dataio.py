@@ -41,7 +41,7 @@ class WavelengthTrace:
     """Uniformly sampled Bragg wavelengths, one column per active area."""
 
     sample_rate_hz: float
-    channels: np.ndarray  # (n_samples, n_channels), nm
+    channels: np.ndarray  # (n_samples, n_channels), nm; producers here keep each column contiguous
     t0: float = 0.0
     labels: tuple = ((0, 0), (0, 1), (0, 2))  # (fiber, active area)
 
@@ -568,7 +568,7 @@ def parse_trace_csv(path):
             raise ParseError(f"fiber {fiber} {problem}")
         block = wavelengths[start:start + n * len(aas)].reshape(len(aas), n)
         traces.append(WavelengthTrace(sample_rate_hz=rate,
-                                      channels=np.ascontiguousarray(block.T),
+                                      channels=block.T,
                                       t0=float(times0[0]),
                                       labels=tuple((fiber, aa) for aa in aas)))
     return traces

@@ -153,7 +153,12 @@ def design_lowpass(cutoff_hz, sample_rate_hz):
     a2 = (1.0 - np.sqrt(2.0) * k + k * k) * norm
     # b0 + b1 + b2 == 1 + a1 + a2 in floating point: exactly unit DC gain.
     b0 = (1.0 + a1 + a2) / 4.0
-    return FilterSpec(sos=[(b0, 2.0 * b0, b0, 1.0, a1, a2)], sample_rate_hz=sample_rate_hz)
+    try:
+        return FilterSpec(sos=[(b0, 2.0 * b0, b0, 1.0, a1, a2)],
+                          sample_rate_hz=sample_rate_hz)
+    except ParameterError:  # the coefficients are finite: the poles rounded
+        raise ParameterError(f"a {cutoff_hz:g} Hz low-pass at {sample_rate_hz:g} Hz "
+                             "rounds its poles onto the unit circle") from None
 
 
 def transient_samples(spec, n_time_constants=3.0):

@@ -58,14 +58,15 @@ def fft_forward(x):
 
 @functools.lru_cache(maxsize=4)
 def _window_values(window, n):
-    """The window's n samples, read-only: equal calls share one array."""
+    """The window's n samples, read-only, and their sum: equal calls share
+    one array."""
     if window == "rectangular":
         w = np.ones(n)
     else:
         # Periodic form: integer-bin lines leak into adjacent bins only.
         w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
     w.flags.writeable = False
-    return w
+    return w, np.sum(w)
 
 
 def magnitude_spectrum(x, sample_rate_hz, window="rectangular"):
@@ -84,11 +85,11 @@ def magnitude_spectrum(x, sample_rate_hz, window="rectangular"):
     if window not in WINDOWS:
         raise ParameterError(f"unknown window {window!r}; expected one of {WINDOWS}")
     n = x.shape[0]
-    w = _window_values(window, n)
-    bins = fft_forward(x * w)
-    half = n // 2
-    freqs = np.arange(half + 1) * (float(sample_rate_hz) / n)
-    mags = np.abs(bins[: half + 1]) * (2.0 / np.sum(w))
+    w, total = _window_values(window, n)
+    # Bins 0 to n // 2, the ones fft_forward computes before its mirror half.
+    bins = np.fft.rfft(x * w)
+    freqs = np.arange(bins.shape[0]) * (float(sample_rate_hz) / n)
+    mags = np.abs(bins) * (2.0 / total)
     mags[0] *= 0.5
     if n % 2 == 0:
         mags[-1] *= 0.5

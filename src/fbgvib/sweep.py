@@ -61,7 +61,8 @@ def steady_amplitude(x, sample_rate_hz, expected_fundamental_hz=None):
         raise DataError("channel must be 1-D with at least two samples")
     y = x[int(round(DEFAULT_DISCARD_FRACTION * x.shape[0])):]
     lowpass, settle = _shape_lowpass(sample_rate_hz)
-    residual = y - apply_zero_phase(lowpass, y)
+    residual = apply_zero_phase(lowpass, y)  # a fresh array: subtract in place
+    np.subtract(y, residual, out=residual)
     if residual.shape[0] <= 2 * settle + 2:
         raise DataError("record too short for the shape-removal settle margin")
     residual = residual[settle:-settle]

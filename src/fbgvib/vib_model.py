@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import AREAS, BAND_NM, WavelengthTrace
+from .dataio import AREAS, BAND_NM, CHUNK_ROWS, WavelengthTrace
 from .errors import DataError, ParameterError, UndampedResonanceError
 from .shape import DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 
@@ -286,7 +286,8 @@ def simulate(scenario, params, seed=0):
     the shape module's default sensitivity) + steady-state vibration at
     the tool rate and its modeled multiples (scaled up while the cables
     are slack) + white noise. Deterministic for a fixed (scenario, params,
-    seed).
+    seed). The channels are the transpose of one (areas, n) block, so each
+    is contiguous.
     """
     fs = scenario.sample_rate_hz
     if not np.isfinite(scenario.duration_s * fs):
@@ -294,36 +295,52 @@ def simulate(scenario, params, seed=0):
     n = int(round(scenario.duration_s * fs))
     if n < 1:
         raise ParameterError("duration_s too short for one sample")
-    n_areas = len(scenario.base_wavelength_nm)
-    t = np.arange(n) / fs
+    bend = scenario.bend
+    if bend is not None and scenario.duration_s > bend.total_duration_s + 1e-9:
+        raise ParameterError("scenario duration exceeds the bend profile duration")
+    t = np.arange(n, dtype=float)
+    t /= fs
 
-    if scenario.bend is not None:
-        if scenario.duration_s > scenario.bend.total_duration_s + 1e-9:
-            raise ParameterError("scenario duration exceeds the bend profile duration")
-        curvature, displacement = bend_curvature(scenario.bend, t)
-        slack = np.where(displacement < scenario.bend.slack_threshold_mm,
-                         scenario.bend.slack_amplitude_scale, 1.0)
-    else:
-        curvature = np.zeros(n)
-        slack = np.ones(n)
-
+    # Each multiple is built in one work array by in-place ufuncs, then
+    # summed from zero, as an expression would sum it.
     vibration = np.zeros(n)
     if scenario.rpm > 0:
         f0 = scenario.rpm / 60.0
+        work = np.empty(n)
         for m, weight in enumerate(scenario.harmonic_weights, start=1):
             if weight == 0.0:
                 continue
             phasor = output_response(params, m * f0)
-            vibration += weight * abs(phasor) * np.sin(
-                2.0 * np.pi * m * f0 * t + np.angle(phasor))
-    vibration *= slack
+            np.multiply(t, 2.0 * np.pi * m * f0, out=work)
+            work += np.angle(phasor)
+            np.sin(work, out=work)
+            work *= weight * abs(phasor)
+            vibration += work
+        del work
 
-    rng = np.random.default_rng(seed)
-    channels = np.empty((n, n_areas))
-    shape_nm = DEFAULT_SENSITIVITY_NM_PER_INVM * curvature
-    for i in range(n_areas):
-        channels[:, i] = scenario.base_wavelength_nm[i] + shape_nm + vibration
+    shape_nm = None
+    if bend is not None:
+        shape_nm, displacement = bend_curvature(bend, t)
+        np.multiply(vibration, bend.slack_amplitude_scale, out=vibration,
+                    where=displacement < bend.slack_threshold_mm)
+        shape_nm *= DEFAULT_SENSITIVITY_NM_PER_INVM
+        del displacement
+    del t
+
+    # Each row is (base + shape) + vibration; vibration + base without a bend.
+    block = np.empty((len(scenario.base_wavelength_nm), n))
+    for row, base in zip(block, scenario.base_wavelength_nm):
+        if shape_nm is None:
+            np.add(vibration, base, out=row)
+        else:
+            np.add(shape_nm, base, out=row)
+            row += vibration
+    channels = block.T
     if scenario.noise_sigma_nm > 0:
-        channels += rng.normal(0.0, scenario.noise_sigma_nm, size=channels.shape)
-    labels = tuple((0, i) for i in range(n_areas))
+        # CHUNK_ROWS samples at a time draw the values of one (n, areas) draw.
+        rng = np.random.default_rng(seed)
+        for start in range(0, n, CHUNK_ROWS):
+            rows = channels[start:start + CHUNK_ROWS]
+            rows += rng.normal(0.0, scenario.noise_sigma_nm, size=rows.shape)
+    labels = tuple((0, i) for i in range(block.shape[0]))
     return WavelengthTrace(sample_rate_hz=fs, channels=channels, t0=0.0, labels=labels)

@@ -5,9 +5,10 @@ oracle evaluates the defining sum directly, the peak oracles walk to each
 maximum's valleys one sample at a time, the shape oracle integrates the
 planar Frenet system with fixed-step RK4, the vibration oracle time-steps
 the equations of motion to steady state, the trace-file oracle walks
-the CSV one line at a time, and the zero-phase oracles run the whole
+the CSV one line at a time, the zero-phase oracles run the whole
 cascade forward and then backward, through scipy.signal or through a
-long-double recursion one sample at a time.
+long-double recursion one sample at a time, and the simulation oracle
+assembles a trace as whole-array expressions with one noise draw.
 """
 
 import math
@@ -19,9 +20,10 @@ from scipy.signal import sosfilt, sosfilt_zi
 from fbgvib import ParameterError, ParseError, WavelengthTrace
 from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
 from fbgvib.filtering import transient_samples
-from fbgvib.shape import BAND_NM
+from fbgvib.shape import BAND_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 from fbgvib.spectral import SpectralPeak
 from fbgvib.sweep import PEAK_PROMINENCE_RATIO
+from fbgvib.vib_model import bend_curvature, output_response
 
 
 def naive_dft(x):
@@ -284,3 +286,40 @@ def longdouble_zero_phase(spec, x):
             d = out
         y = (gain * level + d)[::-1]
     return np.asarray(y[pad:pad + x.shape[0]], dtype=float)
+
+
+def reference_simulate(scenario, params, seed=0):
+    """The trace vib_model.simulate must give bit for bit: each term a
+    whole-array expression, placeholder curvature and slack without a bend,
+    the areas written as columns of an (n, areas) array and the noise drawn
+    in one (n, areas) call."""
+    fs = scenario.sample_rate_hz
+    n = int(round(scenario.duration_s * fs))
+    n_areas = len(scenario.base_wavelength_nm)
+    t = np.arange(n) / fs
+    if scenario.bend is not None:
+        curvature, displacement = bend_curvature(scenario.bend, t)
+        slack = np.where(displacement < scenario.bend.slack_threshold_mm,
+                         scenario.bend.slack_amplitude_scale, 1.0)
+    else:
+        curvature = np.zeros(n)
+        slack = np.ones(n)
+    vibration = np.zeros(n)
+    if scenario.rpm > 0:
+        f0 = scenario.rpm / 60.0
+        for m, weight in enumerate(scenario.harmonic_weights, start=1):
+            if weight == 0.0:
+                continue
+            phasor = output_response(params, m * f0)
+            vibration += weight * abs(phasor) * np.sin(
+                2.0 * np.pi * m * f0 * t + np.angle(phasor))
+    vibration *= slack
+    rng = np.random.default_rng(seed)
+    channels = np.empty((n, n_areas))
+    shape_nm = DEFAULT_SENSITIVITY_NM_PER_INVM * curvature
+    for i in range(n_areas):
+        channels[:, i] = scenario.base_wavelength_nm[i] + shape_nm + vibration
+    if scenario.noise_sigma_nm > 0:
+        channels += rng.normal(0.0, scenario.noise_sigma_nm, size=channels.shape)
+    return WavelengthTrace(sample_rate_hz=fs, channels=channels, t0=0.0,
+                           labels=tuple((0, i) for i in range(n_areas)))

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fbgvib import WavelengthTrace, events, filtering, shape, spectral, sweep, vib_model
+from fbgvib import (WavelengthTrace, dataio, events, filtering, shape, spectral, sweep,
+                    vib_model)
 from fbgvib.cli import build_parser, main
 from fbgvib.dataio import CONFIG_KEYS, parse_trace_csv, tips_csv_text, write_trace_csv
 
@@ -218,6 +219,18 @@ def test_sweep_with_a_non_positive_rpm_bound_is_usage_error(tmp_path, capsys, re
     assert err.splitlines() == [
         f"error: rpm grid bounds must be positive, got {float(low)} and {float(high)}"]
     assert not recwarn.list
+    assert not out_csv.exists()
+
+
+@pytest.mark.parametrize("rate", ["3e7", "1e9", "1e12", "1e308"])
+def test_sweep_at_a_rate_that_rounds_the_low_pass_poles_is_usage_error(tmp_path, capsys,
+                                                                       rate):
+    # Refused before the first point is simulated: nothing is allocated.
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--sample-rate", rate, "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert err.splitlines() == [f"error: a 0.05 Hz low-pass at {float(rate):g} Hz "
+                                "rounds its poles onto the unit circle"]
     assert not out_csv.exists()
 
 
@@ -536,13 +549,13 @@ def test_analyze_transforms_channel_once(tmp_path, capsys, monkeypatch):
     trace = tmp_path / "t.csv"
     run(capsys, "simulate", "--rpm", "240", "--duration", "5", "--out", str(trace))
     calls = []
-    original = spectral.fft_forward
+    original = np.fft.rfft
 
-    def counting_fft(x):
+    def counting_fft(x, *args, **kwargs):
         calls.append(len(x))
-        return original(x)
+        return original(x, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "fft_forward", counting_fft)
+    monkeypatch.setattr(np.fft, "rfft", counting_fft)
     status, out, _ = run(capsys, "analyze", str(trace), "--rpm-hint", "240",
                          "--out", str(tmp_path / "spectrum.csv"))
     assert status == 0 and "fundamental_hz=4.000000" in out
@@ -572,6 +585,18 @@ def test_filter_writes_spec_file_once(tmp_path, capsys, monkeypatch):
     assert status == 0 and "filtered 2 fiber(s)" in out
     assert saved == [str(specfile)]
     assert len(specfile.read_text().splitlines()) == 3
+
+
+def test_filter_writes_contiguous_channels(tmp_path, capsys, monkeypatch):
+    trace = tmp_path / "t.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "2", "--out", str(trace))
+    written = []
+    monkeypatch.setattr(dataio, "write_trace_csv", lambda path, traces: written.extend(traces))
+    status, _, _ = run(capsys, "filter", str(trace), "--rpm", "120",
+                       "--out", str(tmp_path / "f.csv"))
+    assert status == 0 and len(written) == 1
+    assert written[0].channels.shape == (2000, 3)
+    assert all(written[0].channel(i).flags.c_contiguous for i in range(3))
 
 
 MODEL_ROWS = [(None, "natural_f1_hz", None, 0.5, None),

@@ -31,6 +31,17 @@ def test_write_parse_round_trip(tmp_path, params):
     assert np.max(np.abs(back.channels - trace.channels)) <= 1e-9
 
 
+def test_parsed_channels_are_contiguous(tmp_path, params):
+    trace = simulate(Scenario(rpm=120.0, duration_s=2.0), params, seed=1)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, [trace, WavelengthTrace(1000.0, trace.channels[:, :2],
+                                                  labels=((1, 0), (1, 2)))])
+    fibers = parse_trace_csv(path)
+    assert [t.channels.shape for t in fibers] == [(2000, 3), (2000, 2)]
+    assert all(t.channel(i).flags.c_contiguous
+               for t in fibers for i in range(len(t.labels)))
+
+
 def test_out_of_band_wavelength_names_line(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("time_s,fiber,aa,wavelength_nm\n"

@@ -204,8 +204,9 @@ def test_pruned_walk_matches_the_full_walk_on_a_stepped_window(params, monkeypat
 
 
 def test_window_values_are_shared_and_read_only():
-    w = _window_values("hann", 64)
-    assert _window_values("hann", 64) is w
+    w, total = _window_values("hann", 64)
+    assert _window_values("hann", 64)[0] is w
+    assert total == np.sum(w)
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 1.0

@@ -4,8 +4,14 @@ import pytest
 from fbgvib import (DataError, ParameterError, Scenario, analyze_sweep_points,
                     default_rpm_grid, frf_amplitude, ingest_sweep_dir,
                     output_response, run_sweep, simulate, steady_amplitude)
+from fbgvib import sweep
 from fbgvib.dataio import write_trace_csv
-from fbgvib.sweep import report_csv_text, summary_text
+from fbgvib.filtering import apply_zero_phase, design_lowpass, transient_samples
+from fbgvib.spectral import DEFAULT_SHAPE_CUTOFF_HZ
+from fbgvib.sweep import (DEFAULT_DISCARD_FRACTION, SETTLE_TIME_CONSTANTS,
+                          report_csv_text, summary_text)
+
+from oracles import reference_simulate
 
 FS = 1000.0
 
@@ -109,6 +115,27 @@ def test_high_rpm_amplitude_below_quarter_of_240(report):
     amps = dict(report.points)
     near_240 = [a for r, a in report.points if abs(r - 240.0) <= 25.0][0]
     assert amps[2400.0] < 0.25 * near_240
+
+
+def test_noisy_sweep_points_match_the_whole_array_path(params, monkeypatch):
+    calls = []
+
+    def recorded(scenario, p, seed=0):
+        calls.append((scenario, seed))
+        return simulate(scenario, p, seed=seed)
+
+    monkeypatch.setattr(sweep, "simulate", recorded)
+    template = Scenario(rpm=20.0, duration_s=10.0, noise_sigma_nm=0.01)
+    report = run_sweep(default_rpm_grid(20.0, 2000.0, 10), template, params, seed=4)
+    lowpass = design_lowpass(DEFAULT_SHAPE_CUTOFF_HZ, FS)
+    settle = transient_samples(lowpass, n_time_constants=SETTLE_TIME_CONSTANTS)
+    assert len(calls) == len(report.points) == 10
+    for (rpm, amp), (scenario, seed) in zip(report.points, calls):
+        x = reference_simulate(scenario, params, seed=seed).channel(0)
+        y = x[int(round(DEFAULT_DISCARD_FRACTION * x.shape[0])):]
+        residual = (y - apply_zero_phase(lowpass, y))[settle:-settle]
+        assert scenario.rpm == rpm
+        assert amp == float(0.5 * (residual.max() - residual.min()))
 
 
 # --- ingestion ------------------------------------------------------------------
