@@ -154,10 +154,7 @@ def _cmd_shape(args):
     trace = _single_fiber(args.trace, args.fiber)
     calibration = (shape.load_calibration(args.calibration_file) if args.calibration_file
                    else shape.default_calibration())
-    length = args.length
-    geometry = shape.CmGeometry(
-        length_mm=length,
-        aa_positions_mm=(0.25 * length, 0.5 * length, 0.75 * length))
+    geometry = shape.CmGeometry(length_mm=args.length)
     index = trace.n_samples - 1
     if args.at_time is not None:
         position = (args.at_time - trace.t0) * trace.sample_rate_hz
@@ -200,8 +197,6 @@ def _cmd_sweep(args):
                                  f"drop {', '.join(grid)}")
         report = sweep.ingest_sweep_dir(args.from_dir, params)
     else:
-        if args.preset is not None and args.preset != "paper":
-            raise ParameterError(f"unknown sweep preset {args.preset!r}")
         if args.preset == "paper" and (args.points, args.rpm_min, args.rpm_max) != (
                 PAPER_POINTS, None, None):
             raise ParameterError(f"--preset paper is the default {PAPER_POINTS}-point grid; "
@@ -297,7 +292,8 @@ def build_parser(config=None):
     p.add_argument("trace")
     p.add_argument("--fiber", type=int, default=0)
     setting(p, "--calibration", "calibration_file", type=None, help="calibration CSV")
-    p.add_argument("--length", type=_finite_float, default=35.0, help="mm")
+    p.add_argument("--length", type=_finite_float, default=shape.CmGeometry.length_mm,
+                   help="mm")
     p.add_argument("--at-time", type=_finite_float, default=None, help="seconds")
     p.add_argument("--out", required=True, help="polyline CSV path")
     p.add_argument("--out-tips", default=None, help="tip time-series CSV")
@@ -317,7 +313,7 @@ def build_parser(config=None):
     p = sub.add_parser("sweep", help="amplitude vs rpm and resonances")
     common(p)
     setting(p, "--seed", "seed", 0, type=int)
-    p.add_argument("--preset", default=None, help="'paper' = 40-point log grid")
+    p.add_argument("--preset", choices=("paper",), help="'paper' = 40-point log grid")
     p.add_argument("--rpm-min", type=_finite_float, default=None)
     p.add_argument("--rpm-max", type=_finite_float, default=None)
     p.add_argument("--points", type=int, default=PAPER_POINTS)

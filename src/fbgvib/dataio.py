@@ -8,7 +8,6 @@ so an error never leaves a partial output behind.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import os
@@ -100,7 +99,6 @@ AREAS = (0, 1, 2)
 #: spacing is at most 1/2 there, so its fraction shows every half-way case.
 _EXACT_LIMIT = 2.0 ** 52
 _MAX_DECIMALS = 15
-_GROUP = 10 ** 4  # digits are written four at a time, as one uint32 word
 
 
 def _fixed_template(row_format, n_columns):
@@ -134,31 +132,6 @@ def _fixed_template(row_format, n_columns):
     return pieces
 
 
-@functools.cache
-def _digit_groups():
-    """Four ASCII bytes per uint32 word: 0000 to 9999; then the same numbers
-    with leading zeros as byte 0 (zero keeps one digit); then four 0 bytes."""
-    weights = 10 ** np.arange(3, -1, -1)
-    values = np.arange(_GROUP)[:, None]
-    padded = (values // weights % 10 + ord("0")).astype(np.uint8)
-    leading = (values < weights) & (weights > 1)
-    blanked = np.where(leading, np.uint8(0), padded)
-    words = np.concatenate((padded, blanked, np.zeros((1, 4), np.uint8)))
-    words.flags.writeable = False  # shared by every call
-    return words.view(np.uint32).ravel()
-
-
-def _product_error(a, b, p):
-    """e with a * b == p + e exactly, for p = fl(a * b) (Dekker 1971)."""
-    def split(v):  # Veltkamp: two halves of at most 26 significant bits
-        high = v * (2.0 ** 27 + 1.0)
-        high = high - (high - v)
-        return high, v - high
-    a_hi, a_lo = split(a)
-    b_hi, b_lo = split(b)
-    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
 def _scaled_integers(x, decimals):
     """The integer ``f"{v:.{decimals}f}"`` spells without point and sign:
     |v| * 10**decimals rounded half to even on its exact value, as float64.
@@ -173,78 +146,56 @@ def _scaled_integers(x, decimals):
     frac = p - k
     k += frac > 0.5
     tie = np.flatnonzero(frac == 0.5)
-    if tie.size:  # half-way in p: decide on the exact product, half to even
-        e = _product_error(a[tie], scale, p[tie])
-        k[tie] += (e > 0) | ((e == 0) & (k[tie] % 2 == 1))
+    if tie.size:  # half-way in p: str.format rounds the exact product
+        k[tie] = [int(f"{v:.{decimals}f}".replace(".", "")) for v in a[tie].tolist()]
     return k
 
 
-def _fixed_writes(x, decimals):
-    """``f"{v:.{decimals}f}"`` of each value as writes into a byte matrix.
-
-    Returns ``(width, writes)``: each write is ``(offset, values)``, one
-    uint8 or one uint32 word of four ASCII bytes per row. Later writes go
-    over earlier ones, and bytes left 0 are dropped from the text. None when
-    a value is not finite or ``|v| * 10**decimals`` reaches 2**52.
+def _fixed_bytes(x, decimals):
+    """``f"{v:.{decimals}f}"`` of each value as a ``(width, rows)`` uint8
+    matrix, one column per value. Whole-part leading zeros, and the sign
+    of a value that has none, are left as byte 0, to be dropped from the
+    text. None when a value is not finite or ``|v| * 10**decimals`` reaches
+    2**52.
     """
     k = _scaled_integers(x, decimals)
     if k is None:
         return None
-    k = k.astype(np.int64)
-    whole = k // 10 ** decimals
-    part = k - whole * 10 ** decimals
-    table = _digit_groups()
+    k = k.astype(np.uint64)
+    n_digits = max(len(str(int(k.max()))), decimals + 1)
     negative = np.signbit(x)
     signed = bool(negative.any())
-    n_whole = -(-len(str(int(whole.max()))) // 4)
-    point = signed + 4 * n_whole
-    width = point + 1 + decimals if decimals else point
-    writes = []
-    # The fraction's top group may be short: its spare leading bytes land
-    # on the point and the whole part, which are written after it.
-    for i in range(-(-decimals // 4)):
-        writes.append((width - 4 * i - 4, table[part // _GROUP ** i % _GROUP]))
+    out = np.empty((signed + n_digits + (decimals > 0), k.shape[0]), np.uint8)
     if decimals:
-        writes.append((point, np.uint8(ord("."))))
-    for j in range(n_whole):
-        index = whole // _GROUP ** j % _GROUP
-        index += _GROUP * (whole < _GROUP ** (j + 1))
-        if j:
-            index[whole < _GROUP ** j] = 2 * _GROUP
-        writes.append((point - 4 * j - 4, table[index]))
+        out[-decimals - 1] = ord(".")
+    for i in range(n_digits):  # lowest digit first, stepping over the point
+        row = -1 - i - (0 < decimals <= i)
+        q = np.floor_divide(k, 10)
+        out[row] = k - 10 * q
+        out[row] += ord("0")
+        if i > decimals:  # a leading zero of the whole part
+            out[row, k == 0] = 0
+        k = q
     if signed:
-        writes.append((0, negative.view(np.uint8) * np.uint8(ord("-"))))
-    return width, writes
+        out[0] = negative.view(np.uint8) * np.uint8(ord("-"))
+    return out
 
 
 def _fixed_rows(pieces, chunk):
-    """The chunk's rows under a ``{:.Nf}`` template, or None (see _fixed_writes)."""
-    rendered = {}
-    layout, width = [], 0
+    """The chunk's rows under a ``{:.Nf}`` template, or None (see _fixed_bytes)."""
+    rows = chunk[0].shape[0]
+    rendered, blocks = {}, []
     for literal, column, decimals in pieces:
-        text = literal.encode()
-        layout.append((width, text))
-        width += len(text)
+        text = np.frombuffer(literal.encode(), np.uint8)
+        blocks.append(np.broadcast_to(text[:, None], (text.size, rows)))
         if column is not None:
             key = column, decimals
             if key not in rendered:
-                rendered[key] = _fixed_writes(chunk[column], decimals)
+                rendered[key] = _fixed_bytes(chunk[column], decimals)
                 if rendered[key] is None:
                     return None
-            layout.append((width, key))
-            width += rendered[key][0]
-    out = np.zeros((chunk[0].shape[0], width), np.uint8)
-    for start, item in layout:
-        if isinstance(item, bytes):
-            out[:, start:start + len(item)] = np.frombuffer(item, np.uint8)
-            continue
-        for offset, values in rendered[item][1]:
-            at = start + offset
-            if values.dtype == np.uint32:
-                out[:, at:at + 4].view(np.uint32)[:, 0] = values
-            else:
-                out[:, at] = values
-    return out.tobytes().replace(b"\0", b"").decode("ascii")
+            blocks.append(rendered[key])
+    return np.vstack(blocks).T.tobytes().replace(b"\0", b"").decode("ascii")
 
 
 def csv_text(header, row_format, columns):

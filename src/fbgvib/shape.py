@@ -69,13 +69,17 @@ def wavelength_to_curvature(wavelengths_nm, calibration):
 
 @dataclass(frozen=True)
 class CmGeometry:
-    """Flexible-segment geometry of the manipulator (mm)."""
+    """Flexible-segment geometry of the manipulator (mm). The three active
+    areas sit at the quarter points of the length unless placed."""
 
     length_mm: float = 35.0
-    aa_positions_mm: tuple = (8.75, 17.5, 26.25)
+    aa_positions_mm: tuple = None
 
     def __post_init__(self):
-        pos = tuple(float(p) for p in self.aa_positions_mm)
+        pos = self.aa_positions_mm
+        if pos is None:
+            pos = (0.25 * self.length_mm, 0.5 * self.length_mm, 0.75 * self.length_mm)
+        pos = tuple(float(p) for p in pos)
         if not (math.isfinite(self.length_mm) and self.length_mm > 0):
             raise ParameterError("length_mm must be finite and positive")
         if not pos or any(not math.isfinite(p) or p <= 0 for p in pos) or any(

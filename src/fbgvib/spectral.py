@@ -38,22 +38,12 @@ MAX_HARMONIC = 5
 def fft_forward(x):
     """Forward transform of a real or complex sequence, any length N >= 1.
 
-    Returns all N bins as complex128, whatever the input's dtype. Real input
-    is transformed at half length by ``np.fft.rfft``, and bins above N / 2
-    are the conjugates of their mirror bins; complex input goes through
-    ``np.fft.fft``.
+    Returns all N bins as complex128, whatever the input's dtype.
     """
     x = np.asarray(x)
     if x.ndim != 1 or x.shape[0] == 0:
         raise DataError("transform input must be a non-empty 1-D array")
-    x = x.astype(np.promote_types(x.dtype, np.float64), copy=False)
-    if np.iscomplexobj(x):
-        return np.fft.fft(x)
-    n = x.shape[0]
-    bins = np.empty(n, dtype=complex)
-    bins[: n // 2 + 1] = np.fft.rfft(x)
-    np.conjugate(bins[(n - 1) // 2:0:-1], out=bins[n // 2 + 1:])
-    return bins
+    return np.fft.fft(x.astype(np.promote_types(x.dtype, np.float64), copy=False))
 
 
 @functools.lru_cache(maxsize=4)

@@ -195,6 +195,16 @@ def test_sweep_paper_preset_with_an_rpm_range_is_usage_error(tmp_path, capsys, b
     assert not out_csv.exists()
 
 
+@pytest.mark.parametrize("source", [[], ["--from-dir", "."]], ids=["simulated", "from-dir"])
+def test_an_unknown_sweep_preset_is_usage_error(tmp_path, capsys, source):
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--preset", "nope", *source,
+                           "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert len(err.strip().splitlines()) == 1 and "'nope'" in err
+    assert not out_csv.exists()
+
+
 @pytest.mark.parametrize("points", ["-1", "0", "9"])
 @pytest.mark.parametrize("bounds", [[], ["--rpm-min", "100", "--rpm-max", "200"]],
                          ids=["default-range", "range"])
@@ -262,10 +272,9 @@ def test_sweep_from_dir_writes_the_ingested_report(tmp_path, capsys, params, swe
     assert out == sweep.summary_text(report)
 
 
-@pytest.mark.parametrize("grid", [["--preset", "paper"], ["--preset", "nosuch"],
-                                  ["--rpm-min", "100"], ["--rpm-max", "200"],
-                                  ["--points", "12"]],
-                         ids=["preset", "unknown-preset", "rpm-min", "rpm-max", "points"])
+@pytest.mark.parametrize("grid", [["--preset", "paper"], ["--rpm-min", "100"],
+                                  ["--rpm-max", "200"], ["--points", "12"]],
+                         ids=["preset", "rpm-min", "rpm-max", "points"])
 def test_sweep_from_dir_with_a_grid_option_is_usage_error(tmp_path, capsys, sweep_dir,
                                                           grid):
     out_csv = tmp_path / "sweep.csv"

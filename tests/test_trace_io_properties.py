@@ -423,6 +423,40 @@ def test_fixed_point_rows_at_every_precision(decimals):
     assert csv_text("h", template, [values]) == expected
 
 
+def _digit_edges(decimals):
+    """Named groups of values where a digit-at-a-time writer can go wrong."""
+    def both_signs(values):
+        values = np.asarray(values, dtype=float)
+        return np.concatenate([values, -values])
+    powers = 10.0 ** np.arange(-decimals - 1, 16 - decimals)  # every whole width
+    half = 0.5 / 10.0 ** decimals
+    # m / 2**(decimals + 1) for odd m is half-way at `decimals` places;
+    # the largest m keep |v| * 10**decimals below 2**52.
+    top = 2 ** 53 // 5 ** decimals - 1 | 1
+    odd = np.concatenate([np.arange(1, 1000, 2), np.arange(top - 1000, top + 1, 2)])
+    return {
+        "powers of ten": both_signs(np.concatenate(
+            [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])),
+        "round into a new digit": both_signs(powers - 0.8 * half),
+        "zeros": both_signs([0.0, 5e-324, 1e-300, 0.8 * half, half / 3.0]),
+        "ties": both_signs(odd / 2.0 ** (decimals + 1)),
+    }
+
+
+@pytest.mark.parametrize("decimals", range(16))
+def test_digit_writer_edges_match_str_format(decimals):
+    # Each group alone, then all in one chunk, where the widest row sets
+    # the width every other row is padded to and its padding dropped.
+    groups = _digit_edges(decimals)
+    assert decimals != 9 or 9.9999999996 in groups["round into a new digit"]
+    template = f"{{:.{decimals}f}}\n"
+    for values in [*groups.values(), np.concatenate(list(groups.values()))]:
+        assert values.size <= CHUNK_ROWS  # one chunk, written as arrays
+        assert dataio._fixed_rows(dataio._fixed_template(template, 1), [values])
+        expected = ["h"] + [template.format(v)[:-1] for v in values.tolist()]
+        assert csv_text("h", template, [values]).split("\n") == expected + [""]
+
+
 def _instants(lines):
     """Data lines grouped by their time field, in file order."""
     groups = []
