@@ -1,11 +1,11 @@
 """Amplitude-vs-RPM sweeps and resonance identification.
 
-One trace per tool rate (simulated, or ingested from per-rate CSV logs) is
-reduced to a steady oscillation amplitude; the amplitude curve exposes the
-system's natural frequencies as peaks. Peaks are refined by a parabolic
-fit in log-rate, attributed to the dominant coordinate through the model's
-frequency response, and surrounded by avoid bands where the amplitude
-stays above half the peak.
+One trace per tool rate (simulated, or ingested from per-rate CSV logs)
+is reduced to the amplitude of its tone at that rate, fitted with a cubic
+for the slow shape. The amplitude curve's peaks are the natural
+frequencies: each is refined by a parabolic fit in log-rate, attributed to
+the dominant coordinate through the model's frequency response, and
+surrounded by an avoid band where the amplitude stays above half the peak.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .dataio import csv_text, parse_trace_csv
 from .errors import DataError, ParameterError
-from .filtering import apply_zero_phase, design_lowpass, transient_samples
 from .spectral import DEFAULT_SHAPE_CUTOFF_HZ, peak_prominences
 from .vib_model import frf_amplitude, simulate
 
@@ -34,43 +33,37 @@ AVOID_BAND_RATIO = 0.5
 #: Fewest rpm points a sweep takes.
 MIN_POINTS = 10
 
-#: Shape-removal edge margin trimmed before the peak-to-peak measurement.
+#: Read with DEFAULT_SHAPE_CUTOFF_HZ by perfbench's write_sweep_file; no sweep uses either.
 SETTLE_TIME_CONSTANTS = 8.0
 
 SENSOR_DOMINANT = "sensor-dominant"
 MANIPULATOR_DOMINANT = "manipulator-dominant"
 
 
-def _shape_lowpass(sample_rate_hz):
-    """The shape-removal low-pass and its settle margin in samples."""
-    lowpass = design_lowpass(DEFAULT_SHAPE_CUTOFF_HZ, sample_rate_hz)
-    return lowpass, transient_samples(lowpass, n_time_constants=SETTLE_TIME_CONSTANTS)
+def steady_amplitude(x, sample_rate_hz, expected_fundamental_hz):
+    """Amplitude (nm) of the tone at the expected fundamental.
 
-
-def steady_amplitude(x, sample_rate_hz, expected_fundamental_hz=None):
-    """Half the peak-to-peak oscillation after shape removal (nm).
-
-    The leading DEFAULT_DISCARD_FRACTION of the record is dropped, the slow
-    shape component is subtracted with a zero-phase low-pass, the low-pass
-    settle margin is trimmed from both ends of the residual, and the
-    remaining half peak-to-peak is returned. When the expected fundamental
-    is known the trimmed record must keep at least three of its periods.
+    After the leading DEFAULT_DISCARD_FRACTION, which must leave three
+    periods, one least-squares fit at that frequency of sin, cos, 1, u, u^2
+    and u^3 (u from -1 to 1; the sine fit of IEEE Std 1057 with a cubic for
+    the slow shape), solved by its normal equations, gives the tone's two
+    coefficients. The amplitude is their hypot.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.shape[0] < 2:
         raise DataError("channel must be 1-D with at least two samples")
+    if not 0.0 < expected_fundamental_hz < 0.5 * sample_rate_hz:  # NaN fails too
+        raise ParameterError(f"expected_fundamental_hz must lie in (0, {0.5 * sample_rate_hz:g})"
+                             f" Hz, got {expected_fundamental_hz:g}")
     y = x[int(round(DEFAULT_DISCARD_FRACTION * x.shape[0])):]
-    lowpass, settle = _shape_lowpass(sample_rate_hz)
-    residual = apply_zero_phase(lowpass, y)  # a fresh array: subtract in place
-    np.subtract(y, residual, out=residual)
-    if residual.shape[0] <= 2 * settle + 2:
-        raise DataError("record too short for the shape-removal settle margin")
-    residual = residual[settle:-settle]
-    if expected_fundamental_hz is not None and expected_fundamental_hz > 0:
-        if residual.shape[0] / sample_rate_hz < 3.0 / expected_fundamental_hz:
-            raise DataError(
-                "record keeps fewer than three periods of the expected fundamental")
-    return float(0.5 * (residual.max() - residual.min()))
+    if y.shape[0] / sample_rate_hz < 3.0 / expected_fundamental_hz:
+        raise DataError("record keeps fewer than three periods of the expected fundamental")
+    phase = 2.0 * np.pi * expected_fundamental_hz / sample_rate_hz * np.arange(y.shape[0])
+    u = np.linspace(-1.0, 1.0, y.shape[0])
+    design = np.stack((np.sin(phase), np.cos(phase), np.ones_like(u), u, u * u, u * u * u))
+    # One sample off first, so the base wavelength costs the fit no digits.
+    coef = np.linalg.solve(design @ design.T, design @ (y - y[0]))
+    return float(np.hypot(coef[0], coef[1]))
 
 
 @dataclass(frozen=True)
@@ -160,13 +153,11 @@ def default_rpm_grid(low=10.0, high=2400.0, n_points=40):
 def run_sweep(rpms, template, params, seed=0):
     """Simulate one trace per tool rate and identify the resonances.
 
-    Per-rate scenarios extend the template duration so at least three
-    periods survive the transient discard and the shape-removal settle
-    margin. The sweep characterizes the response to the fundamental
-    forcing, so forcing-distortion multiples are excluded from the
-    per-point simulations: the amplitude curve then tracks the frequency
-    response function directly. Results are keyed by rpm, so the report
-    does not depend on evaluation order.
+    Each point lasts the template's duration, or longer so that three
+    periods, with a quarter to spare, survive the transient discard. It
+    simulates area 0 alone, the one read, and the fundamental alone, so the
+    amplitude curve tracks the frequency response function. Results are
+    keyed by rpm, so the report does not depend on evaluation order.
     """
     rpm_list = [float(r) for r in rpms]
     if len(rpm_list) < MIN_POINTS:
@@ -175,12 +166,12 @@ def run_sweep(rpms, template, params, seed=0):
         raise ParameterError("rpm values must be strictly increasing")
     if rpm_list[0] <= 0:
         raise ParameterError("rpm values must be positive")
-    settle_s = _shape_lowpass(template.sample_rate_hz)[1] / template.sample_rate_hz
     points = []
     for i, rpm in enumerate(rpm_list):
-        needed_s = (3.0 * (60.0 / rpm) + 2.0 * settle_s) / (1.0 - DEFAULT_DISCARD_FRACTION)
+        needed_s = 3.0 * (60.0 / rpm) / (1.0 - DEFAULT_DISCARD_FRACTION)
         scenario = replace(template, rpm=rpm,
                            duration_s=max(template.duration_s, 1.25 * needed_s),
+                           base_wavelength_nm=template.base_wavelength_nm[:1],
                            harmonic_weights=(template.harmonic_weights[0],))
         trace = simulate(scenario, params, seed=seed + i)
         amp = steady_amplitude(trace.channel(0), scenario.sample_rate_hz,
@@ -205,6 +196,8 @@ def ingest_sweep_dir(directory, params):
     entries.sort()
     points = []
     for rpm, path in entries:
+        if rpm <= 0:
+            raise DataError(f"{path}: the rate in the name must be positive, got {rpm:g} rpm")
         trace = parse_trace_csv(path)[0]
         amp = steady_amplitude(trace.channel(0), trace.sample_rate_hz,
                                expected_fundamental_hz=rpm / 60.0)

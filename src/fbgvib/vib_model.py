@@ -28,6 +28,11 @@ DEFAULT_PLATEAU_NM = 0.045
 
 DEFAULT_UNBALANCE_ME = 1.0e-6  # kg*m
 
+#: Most samples one scenario may hold over all its areas, checked before
+#: anything is allocated: simulate holds a few arrays of this many doubles
+#: (512 MiB each), about 150 times the canonical 150 s, 1 kHz, 3-area trace.
+MAX_SAMPLES = 2 ** 26
+
 
 @dataclass(frozen=True)
 class TwoDofParams:
@@ -254,6 +259,10 @@ class Scenario:
         if not all(BAND_NM[0] <= b <= BAND_NM[1] for b in base):
             raise ParameterError(f"base_wavelength_nm must lie within {BAND_NM} nm")
         object.__setattr__(self, "base_wavelength_nm", base)
+        samples = self.duration_s * self.sample_rate_hz * len(base)
+        if not samples <= MAX_SAMPLES:
+            raise ParameterError(f"duration_s * sample_rate_hz * areas is {samples:.4g} "
+                                 f"samples, above the bound of {MAX_SAMPLES}")
         if not self.harmonic_weights or self.harmonic_weights[0] <= 0:
             raise ParameterError("harmonic_weights must start with a positive fundamental weight")
         top = self.rpm / 60.0 * len(self.harmonic_weights)
@@ -290,8 +299,6 @@ def simulate(scenario, params, seed=0):
     is contiguous.
     """
     fs = scenario.sample_rate_hz
-    if not np.isfinite(scenario.duration_s * fs):
-        raise ParameterError("duration_s * sample_rate_hz overflows a sample count")
     n = int(round(scenario.duration_s * fs))
     if n < 1:
         raise ParameterError("duration_s too short for one sample")

@@ -232,15 +232,18 @@ def test_sweep_with_a_non_positive_rpm_bound_is_usage_error(tmp_path, capsys, re
     assert not out_csv.exists()
 
 
-@pytest.mark.parametrize("rate", ["3e7", "1e9", "1e12", "1e308"])
-def test_sweep_at_a_rate_that_rounds_the_low_pass_poles_is_usage_error(tmp_path, capsys,
-                                                                       rate):
-    # Refused before the first point is simulated: nothing is allocated.
-    out_csv = tmp_path / "sweep.csv"
-    status, out, err = run(capsys, "sweep", "--sample-rate", rate, "--out", str(out_csv))
+@pytest.mark.parametrize("command,rate", [("sweep", "3e7"), ("sweep", "1e9"),
+                                          ("sweep", "1e12"), ("sweep", "1e308"),
+                                          ("simulate", "3e7")])
+def test_a_rate_past_the_sample_bound_is_usage_error(tmp_path, capsys, command, rate):
+    # Refused when the scenario is built, before anything is allocated.
+    out_csv = tmp_path / "out.csv"
+    rpm = ["--rpm", "120"] if command == "simulate" else []
+    status, out, err = run(capsys, command, *rpm, "--sample-rate", rate, "--out", str(out_csv))
     assert status == 2 and out == ""
-    assert err.splitlines() == [f"error: a 0.05 Hz low-pass at {float(rate):g} Hz "
-                                "rounds its poles onto the unit circle"]
+    assert err.splitlines() == [f"error: duration_s * sample_rate_hz * areas is "
+                                f"{10.0 * float(rate) * 3:.4g} samples, above the bound "
+                                f"of {vib_model.MAX_SAMPLES}"]
     assert not out_csv.exists()
 
 
@@ -270,6 +273,17 @@ def test_sweep_from_dir_writes_the_ingested_report(tmp_path, capsys, params, swe
     report = sweep.ingest_sweep_dir(sweep_dir, params)
     assert out_csv.read_text() == sweep.report_csv_text(report)
     assert out == sweep.summary_text(report)
+
+
+def test_sweep_from_dir_with_a_zero_rate_file_is_usage_error(tmp_path, capsys, sweep_dir):
+    zero = tmp_path / "rpm_0.csv"
+    zero.write_bytes((sweep_dir / "rpm_240.csv").read_bytes())
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--from-dir", str(tmp_path), "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert err.splitlines() == [f"error: {zero}: the rate in the name must be positive, "
+                                "got 0 rpm"]
+    assert not out_csv.exists()
 
 
 @pytest.mark.parametrize("grid", [["--preset", "paper"], ["--rpm-min", "100"],

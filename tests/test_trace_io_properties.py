@@ -364,14 +364,15 @@ def test_writers_across_chunk_boundaries(n):
     rng = np.random.default_rng(n)
     times = 12.5 + np.arange(n) / 1000.0
     tips = rng.normal(0.0, 20.0, (n, 2))
+    # Lists of lines: a wrong row is reported at once, not after a string diff.
     expected = ["time_s,tip_x_mm,tip_z_mm"] + [
         f"{t:.6f},{x:.9f},{z:.9f}" for t, (x, z) in zip(times, tips)]
-    assert tips_csv_text(times, tips) == "\n".join(expected) + "\n"
+    assert tips_csv_text(times, tips).split("\n") == expected + [""]
 
     freqs, mags = times, np.abs(tips[:, 0])
     expected = ["frequency_hz,magnitude_nm"] + [
         f"{f:.9f},{m:.9g}" for f, m in zip(freqs, mags)]
-    assert spectrum_rows(freqs, mags) == "\n".join(expected) + "\n"
+    assert spectrum_rows(freqs, mags).split("\n") == expected + [""]
 
 
 def _near(value):
@@ -419,8 +420,8 @@ def test_fixed_point_rows_at_every_precision(decimals):
         [0.0, -0.0, scale, -scale, np.nextafter(scale, 0.0), 0.5, 1.5, 2.5],
     ])
     template = f"{{0:.{decimals}f}};{{0:.{decimals}f}}|\n"
-    expected = "".join(["h\n"] + [template.format(v) for v in values.tolist()])
-    assert csv_text("h", template, [values]) == expected
+    expected = ["h"] + [template.format(v)[:-1] for v in values.tolist()]
+    assert csv_text("h", template, [values]).split("\n") == expected + [""]
 
 
 def _digit_edges(decimals):
