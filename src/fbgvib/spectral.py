@@ -4,9 +4,9 @@ Transforms are numpy's FFT, which handles every length in O(N log N), so
 records of arbitrary duration transform without truncation; real input,
 every channel here, is transformed at half length. Magnitude spectra are
 scaled to physical amplitude (a unit sinusoid on a bin reports 1.0).
-Peaks are strict local maxima ranked by a prominence that the sweep
-module shares, walked by scipy's compiled prominence walk taken from its
-extension without ``scipy.signal`` (as ``filtering`` takes ``_sosfilt``).
+Peaks are strict local maxima ranked by prominence, walked by scipy's
+compiled prominence walk taken from its extension without ``scipy.signal``
+(as ``filtering`` takes ``_sosfilt``).
 Feature extraction separates the slow shape content from the tool-locked
 line and its integer multiples.
 """
@@ -93,25 +93,6 @@ class SpectralPeak:
     prominence: float
 
 
-def peak_prominences(values):
-    """Indices of the strict local maxima of a 1-D array, with prominences.
-
-    A maximum's span reaches, on each side, the nearest strictly higher
-    sample or the array edge, past any samples of equal height; its
-    prominence is its height minus the lowest sample in that span, which
-    is the lower of the two valley minima. Each span is walked sample by
-    sample in scipy's compiled walk, at a cost of O(span) per peak, as in
-    ``scipy.signal.peak_prominences`` (which subtracts the higher valley).
-
-    Returns
-    -------
-    (indices, prominences) : an ascending integer array and a float array.
-    """
-    a = np.asarray(values, dtype=float)
-    peaks = _local_maxima(a)
-    return peaks, _prominences(a, peaks)
-
-
 def _local_maxima(a):
     inner = a[1:-1]
     return np.flatnonzero((inner > a[:-2]) & (inner > a[2:])) + 1
@@ -134,13 +115,15 @@ def _prominences(a, peaks):
 
 def find_peaks(freqs, mags, min_prominence=DEFAULT_MIN_PROMINENCE_NM,
                max_freq_hz=DEFAULT_MAX_FREQ_HZ):
-    """Local maxima of a magnitude spectrum, strongest first.
+    """Strict local maxima of a magnitude spectrum, strongest first.
 
-    Prominence is measured as in peak_prominences. Peaks above max_freq_hz
-    are dropped; an empty list is a valid result. Only the maxima that can
-    pass are walked: a valley is never below the spectrum's minimum, so a
-    peak less than min_prominence above that minimum cannot qualify.
-    Non-finite data raise DataError; max_freq_hz may be +inf (no cut).
+    A maximum's prominence is its height minus the lower of its two valley
+    minima, each the lowest sample before the nearest strictly higher one
+    or the edge, found by scipy's compiled walk at O(span) per peak. Peaks
+    above max_freq_hz are dropped; an empty list is a valid result. Only the
+    maxima that can pass are walked: a valley is never below the spectrum's
+    minimum, so a peak less than min_prominence above that minimum cannot
+    qualify. Non-finite data raise DataError; max_freq_hz may be +inf.
     """
     if not (math.isfinite(min_prominence) and min_prominence > 0):
         raise ParameterError("min_prominence must be finite and positive")

@@ -2,10 +2,12 @@
 
 One trace per tool rate (simulated, or ingested from per-rate CSV logs)
 is reduced to the amplitude of its tone at that rate, fitted with a cubic
-for the slow shape. The amplitude curve's peaks are the natural
-frequencies: each is refined by a parabolic fit in log-rate, attributed to
-the dominant coordinate through the model's frequency response, and
-surrounded by an avoid band where the amplitude stays above half the peak.
+for the slow shape. The two-mode model's amplitude curve is fitted to all
+the points at once by linear least squares; its maxima inside the grid
+are the natural frequencies, each attributed to the dominant coordinate
+through the model's frequency response and surrounded by an avoid band
+where the curve stays above half the peak. A curve that misses the points,
+or that has a pole inside the grid, is refused.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import csv_text, parse_trace_csv
-from .errors import DataError, ParameterError
-from .spectral import DEFAULT_SHAPE_CUTOFF_HZ, peak_prominences
+from .errors import DataError, ParameterError, SensingError
+from .spectral import DEFAULT_SHAPE_CUTOFF_HZ
 from .vib_model import frf_amplitude, simulate
 
 #: Leading share of each record dropped as the start-up transient.
 DEFAULT_DISCARD_FRACTION = 0.2
 
-#: A sweep peak must rise above this fraction of the largest amplitude.
-PEAK_PROMINENCE_RATIO = 0.05
+#: Largest relative RMS residual of the two-mode curve fit that names peaks.
+MAX_FIT_RESIDUAL = 0.25
 #: Avoid-band boundary relative to its peak amplitude.
 AVOID_BAND_RATIO = 0.5
 
@@ -87,60 +89,67 @@ class ResonanceReport:
                 raise DataError("each avoid band must contain its peak rpm")
 
 
-def _refine_peak(rpms, amps, i):
-    """Parabolic vertex through three points in (log rpm, log amplitude).
+def _roots_within(coef, lo, hi):
+    """Real roots in [lo, hi], ascending, of a polynomial (highest power first)."""
+    roots = np.roots(coef)
+    roots = np.sort(roots[roots.imag == 0].real)
+    return roots[(lo <= roots) & (roots <= hi)]
 
-    A zero amplitude has no logarithm, so such a peak keeps its grid rpm.
+
+def _fit_resonances(rpms, amps):
+    """(peak rpm, (low, high) avoid band) per resonance of the fitted curve.
+
+    The model's amplitude is a = x / sqrt(Q(x)), x = (rpm / rpm_max)^2, Q a
+    quartic (|det|^2 of the two-mode system). Each point gives the row
+    (a / x)^2 Q(x) = 1, linear in Q, and one least-squares solve takes them
+    all (Levy 1959), each residual a relative error. Peaks are the maxima
+    of x^2 / Q inside the grid, roots of 2Q - xQ'; a band's edges are the
+    nearest roots of x^2 = AVOID_BAND_RATIO^2 peak^2 Q(x), both in the grid.
     """
-    if not np.all(amps[i - 1:i + 2] > 0):
-        return float(rpms[i])
-    x = np.log(rpms[i - 1:i + 2])
-    y = np.log(amps[i - 1:i + 2])
-    denom = y[0] - 2.0 * y[1] + y[2]
-    if denom >= 0:
-        return float(rpms[i])
-    shift = float(np.clip((y[0] - y[2]) / (2.0 * denom), -0.5, 0.5))
-    return float(np.exp(x[1] + shift * (x[1] - x[0])))
-
-
-def _band_edge(rpms, amps, i_peak, level, direction):
-    """RPM where the amplitude curve crosses the band level, interpolated."""
-    j = i_peak
-    while 0 <= j + direction < len(rpms) and amps[j + direction] > level:
-        j += direction
-    k = j + direction
-    if k < 0 or k >= len(rpms):
-        return rpms[j]
-    # Linear crossing in log-rpm between the last point above and below.
-    la, lb = math.log(rpms[j]), math.log(rpms[k])
-    frac = (amps[j] - level) / (amps[j] - amps[k])
-    return float(math.exp(la + frac * (lb - la)))
+    if rpms.size <= 5:  # no more points than Q has coefficients
+        return []
+    rpm_max = float(rpms.max())
+    x = (rpms / rpm_max) ** 2
+    design = ((amps / x) ** 2)[:, None] * x[:, None] ** np.arange(4, -1, -1)
+    q = np.linalg.lstsq(design, np.ones_like(x), rcond=None)[0]
+    residual = math.sqrt(np.mean((design @ q - 1.0) ** 2))
+    if not residual <= MAX_FIT_RESIDUAL:
+        raise DataError(f"the two-mode curve misses the sweep by {residual:.2f} relative RMS, "
+                        f"above {MAX_FIT_RESIDUAL}")
+    lo, hi = x.min(), x.max()
+    poles = _roots_within(q, lo, hi)
+    if poles.size:
+        raise DataError(f"the grid does not resolve the resonance near "
+                        f"{rpm_max * math.sqrt(poles[0]):.1f} rpm")
+    slope = q * np.arange(-2.0, 3.0)  # 2Q - xQ'
+    resonances = []
+    for xp in _roots_within(slope, lo, hi):
+        level = -(AVOID_BAND_RATIO * xp) ** 2 / np.polyval(q, xp) * q
+        level[2] += 1.0
+        edges = _roots_within(level, lo, hi)
+        below, above = edges[edges < xp], edges[edges > xp]
+        if np.polyval(np.polyder(slope), xp) < 0 and below.size and above.size:
+            peak, low, high = (rpm_max * math.sqrt(v) for v in (xp, below[-1], above[0]))
+            resonances.append((peak, (low, high)))
+    return resonances
 
 
 def analyze_sweep_points(points, params):
-    """Build a ResonanceReport from (rpm, amplitude) pairs and model params."""
+    """Build a ResonanceReport from (rpm, amplitude) pairs and model params.
+    Five points or fewer, no more than the fit's unknowns, report no peaks."""
     rpms = np.array([r for r, _ in points], dtype=float)
     amps = np.array([a for _, a in points], dtype=float)
-    if rpms.size < 3:
-        raise DataError("at least three sweep points are required")
-    idx, prom = peak_prominences(amps)
-    peak_rpms, freqs, bands, tags = [], [], [], []
-    for i in idx[prom >= PEAK_PROMINENCE_RATIO * amps.max()]:
-        rpm_peak = _refine_peak(rpms, amps, i)
-        level = AVOID_BAND_RATIO * amps[i]
-        lo = _band_edge(rpms, amps, i, level, -1)
-        hi = _band_edge(rpms, amps, i, level, +1)
-        lo, hi = min(lo, rpm_peak), max(hi, rpm_peak)
-        f_hz = rpm_peak / 60.0
-        x1, x2 = frf_amplitude(params, f_hz)
-        peak_rpms.append(rpm_peak)
-        freqs.append(f_hz)
-        bands.append((lo, hi))
-        tags.append(SENSOR_DOMINANT if x2 > x1 else MANIPULATOR_DOMINANT)
+    bad = np.flatnonzero(~(np.isfinite(amps) & np.isfinite(rpms) & (rpms > 0)))
+    if bad.size:
+        raise DataError(f"sweep point at {rpms[bad[0]]:g} rpm, amplitude {amps[bad[0]]:g} nm: "
+                        "each rate must be positive and each value finite")
+    resonances = _fit_resonances(rpms, amps)
+    tags = [SENSOR_DOMINANT if x2 > x1 else MANIPULATOR_DOMINANT
+            for x1, x2 in (frf_amplitude(params, rpm / 60.0) for rpm, _ in resonances)]
     return ResonanceReport(points=tuple((float(r), float(a)) for r, a in points),
-                           natural_frequencies_hz=tuple(freqs),
-                           peak_rpms=tuple(peak_rpms),
-                           avoid_bands_rpm=tuple(bands),
+                           natural_frequencies_hz=tuple(rpm / 60.0 for rpm, _ in resonances),
+                           peak_rpms=tuple(rpm for rpm, _ in resonances),
+                           avoid_bands_rpm=tuple(band for _, band in resonances),
                            attribution=tuple(tags))
 
 
@@ -198,10 +207,13 @@ def ingest_sweep_dir(directory, params):
     for rpm, path in entries:
         if rpm <= 0:
             raise DataError(f"{path}: the rate in the name must be positive, got {rpm:g} rpm")
-        trace = parse_trace_csv(path)[0]
-        amp = steady_amplitude(trace.channel(0), trace.sample_rate_hz,
-                               expected_fundamental_hz=rpm / 60.0)
-        points.append((rpm, amp))
+        try:
+            trace = parse_trace_csv(path)[0]
+            points.append((rpm, steady_amplitude(trace.channel(0), trace.sample_rate_hz,
+                                                 expected_fundamental_hz=rpm / 60.0)))
+        except SensingError as exc:
+            exc.args = (f"{path}: {exc}",)  # keeps the type and a ParseError's line
+            raise
     return analyze_sweep_points(points, params)
 
 

@@ -1,9 +1,10 @@
 """Independent reference computations used only by the tests.
 
 These deliberately avoid the library's own code paths: the transform
-oracle evaluates the defining sum directly, the peak oracles walk to each
-maximum's valleys one sample at a time, the shape oracle integrates the
-planar Frenet system with fixed-step RK4, the vibration oracle time-steps
+oracle evaluates the defining sum directly, the peak oracle walks to each
+maximum's valleys one sample at a time, the resonance oracle brackets and
+refines the model's response with scipy.optimize, the shape oracle
+integrates the planar Frenet system with fixed-step RK4, the vibration oracle time-steps
 the equations of motion to steady state, the trace-file oracle walks
 the CSV one line at a time, the zero-phase oracles run the whole
 cascade forward and then backward, through scipy.signal or through a
@@ -15,6 +16,7 @@ import math
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq, minimize_scalar
 from scipy.signal import sosfilt, sosfilt_zi
 
 from fbgvib import ParameterError, ParseError, WavelengthTrace
@@ -22,7 +24,6 @@ from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
 from fbgvib.filtering import transient_samples
 from fbgvib.shape import BAND_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 from fbgvib.spectral import SpectralPeak
-from fbgvib.sweep import PEAK_PROMINENCE_RATIO
 from fbgvib.vib_model import bend_curvature, output_response
 
 
@@ -65,27 +66,29 @@ def walk_find_peaks(freqs, mags, min_prominence, max_freq_hz):
     return peaks
 
 
-def walk_sweep_peak_indices(amps):
-    """Indices of the sweep peaks that rise PEAK_PROMINENCE_RATIO of the
-    largest amplitude above their lower valley, by the same walk."""
-    amps = np.asarray(amps, dtype=float)
-    floor = PEAK_PROMINENCE_RATIO * amps.max()
-    kept = []
-    for i in range(1, amps.size - 1):
-        if not (amps[i] > amps[i - 1] and amps[i] > amps[i + 1]):
-            continue
-        j = i - 1
-        while j > 0 and amps[j] <= amps[i]:
-            j -= 1
-        left = amps[j:i].min()
-        j = i + 1
-        while j < amps.size - 1 and amps[j] <= amps[i]:
-            j += 1
-        right = amps[i + 1:j + 1].min()
-        if amps[i] - min(left, right) < floor:
-            continue
-        kept.append(i)
-    return kept
+def response_resonances(params, rpm_lo, rpm_hi, ratio=0.5, n_grid=4001):
+    """(peak rpm, low edge, high edge) per maximum of |output_response| in
+    [rpm_lo, rpm_hi]: a dense log grid brackets each maximum, Brent's
+    method refines it, and each edge is where the response crosses ratio
+    times the peak, by root bracketing. A peak with no grid point at or
+    below that level on either side is left out."""
+    def amp(rpm):
+        return abs(output_response(params, rpm / 60.0))
+
+    grid = np.geomspace(rpm_lo, rpm_hi, n_grid)
+    vals = np.array([amp(r) for r in grid])
+    found = []
+    for i in np.flatnonzero((vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])) + 1:
+        peak = minimize_scalar(lambda r: -amp(r), bracket=tuple(grid[i - 1:i + 2]),
+                               tol=1e-12).x
+        level = ratio * amp(peak)
+        below = np.flatnonzero(vals[:i] <= level)
+        above = np.flatnonzero(vals[i:] <= level) + i
+        if below.size and above.size:
+            found.append((peak,
+                          brentq(lambda r: amp(r) - level, grid[below[-1]], peak, xtol=1e-12),
+                          brentq(lambda r: amp(r) - level, peak, grid[above[0]], xtol=1e-12)))
+    return found
 
 
 def rk4_frenet_tips(curvature_rows_inv_m, segment_lengths_mm, total_steps=10000):

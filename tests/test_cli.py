@@ -249,9 +249,10 @@ def test_a_rate_past_the_sample_bound_is_usage_error(tmp_path, capsys, command, 
 
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory, params):
-    """Three recorded rates, rpm_<value>.csv, for sweep --from-dir."""
+    """Eight recorded rates, rpm_<value>.csv, for sweep --from-dir: enough
+    for the curve fit, which names the 960 rpm resonance."""
     directory = tmp_path_factory.mktemp("sweep_dir")
-    for rpm in (240.0, 480.0, 960.0):
+    for rpm in (240.0, 360.0, 480.0, 720.0, 960.0, 1200.0, 1600.0, 2000.0):
         scenario = vib_model.Scenario(rpm=rpm, duration_s=100.0, sample_rate_hz=200.0,
                                       noise_sigma_nm=0.0, harmonic_weights=(1.0,))
         write_trace_csv(directory / f"rpm_{rpm:.0f}.csv",
@@ -283,6 +284,18 @@ def test_sweep_from_dir_with_a_zero_rate_file_is_usage_error(tmp_path, capsys, s
     assert status == 2 and out == ""
     assert err.splitlines() == [f"error: {zero}: the rate in the name must be positive, "
                                 "got 0 rpm"]
+    assert not out_csv.exists()
+
+
+def test_sweep_from_dir_names_the_file_it_cannot_measure(tmp_path, capsys, sweep_dir):
+    # 12000 rpm is 200 Hz, the sampling rate of the file, above its Nyquist.
+    fast = tmp_path / "rpm_12000.csv"
+    fast.write_bytes((sweep_dir / "rpm_240.csv").read_bytes())
+    out_csv = tmp_path / "sweep.csv"
+    status, out, err = run(capsys, "sweep", "--from-dir", str(tmp_path), "--out", str(out_csv))
+    assert status == 2 and out == ""
+    assert err.splitlines() == [f"error: {fast}: expected_fundamental_hz must lie in "
+                                "(0, 100) Hz, got 200"]
     assert not out_csv.exists()
 
 
@@ -538,6 +551,22 @@ def test_filter_and_sweep_run_without_scipy_signal(tmp_path):
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("source", ["preset", "from-dir"])
+def test_sweep_loads_no_scipy_module(tmp_path, sweep_dir, source):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    grid = ["--preset", "paper"] if source == "preset" else ["--from-dir", str(sweep_dir)]
+    argv = ["sweep", *grid, "--out", str(tmp_path / "sweep.csv")]
+    probe = ("import sys\nfrom fbgvib.cli import main\n"
+             f"assert main({argv!r}) == 0\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert "detected peaks: " in result.stdout
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_stages_leave_scipy_linalg_signal_and_numpy_ma_unloaded(tmp_path):

@@ -410,9 +410,10 @@ def digest():
     notched = filtering.apply_zero_phase(
         filtering.design_bandstop(2.0, 3, sample_rate_hz=1000.0), x)
     low = filtering.apply_zero_phase(filtering.design_lowpass(0.05, 1000.0), x)
-    maxima, prominences = spectral.peak_prominences(notched)
-    return hashlib.sha256(notched.tobytes() + low.tobytes() + maxima.tobytes()
-                          + prominences.tobytes()).hexdigest()
+    peaks = [(p.frequency_hz, p.amplitude, p.prominence) for p in
+             spectral.find_peaks(np.arange(notched.shape[0]), notched, 1e-9, np.inf)]
+    return hashlib.sha256(notched.tobytes() + low.tobytes()
+                          + np.array(peaks).tobytes()).hexdigest()
 """
 
 

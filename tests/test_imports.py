@@ -1,5 +1,6 @@
 import ast
 import importlib
+import importlib.util
 import inspect
 import subprocess
 import sys
@@ -71,6 +72,36 @@ def test_every_name_the_benchmark_uses_exists():
                 for name in ("base_wavelengths_nm", "sensitivities_nm_per_invm")
                 if not hasattr(calibration, name)]
     assert missing == []
+
+
+def benchmark_module(name):
+    """perfbench/<name>.py, loaded from its file under a name of its own."""
+    path = PACKAGE.parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_layer_suite_runs(tmp_path):
+    # As `perfbench/run.py --trace 1` runs it: four recorded sweep files,
+    # then every traced function once under its span.
+    run, tracing = benchmark_module("run"), benchmark_module("tracing")
+    sweep, vib_model = package_module("sweep"), package_module("vib_model")
+    sweep_dir = tmp_path / "sweep"
+    sweep_dir.mkdir()
+    for i, rpm in enumerate(sweep.default_rpm_grid()[-4:]):
+        run.write_sweep_file(sweep_dir, rpm, vib_model.default_params(), 1 + i)
+    tracer = tracing.Tracer()
+    restore = tracing.install(tracer)
+    try:
+        values = tracing.layer_suite(tracer, str(tmp_path), 1, str(sweep_dir))
+    finally:
+        restore()
+    assert values == 450_000
+    called = {name for name, *_ in tracer.spans}
+    assert {"sweep.ingest_sweep_dir", "sweep.analyze_sweep_points", "sweep.run_sweep",
+            "spectral.find_peaks", "filtering.apply_zero_phase"} <= called
 
 
 def imports_the_package(node):

@@ -4,9 +4,9 @@ import pytest
 from fbgvib import (DataError, ParameterError, Scenario, SpectralPeak, default_params,
                     features_from_spectrum, find_peaks, identify_features,
                     magnitude_spectrum, simulate, spectral)
-from fbgvib.spectral import _window_values, fft_forward, peak_prominences, spectrum_rows
+from fbgvib.spectral import _window_values, fft_forward, spectrum_rows
 
-from oracles import naive_dft
+from oracles import naive_dft, walk_find_peaks
 
 
 # --- transform core -------------------------------------------------------
@@ -176,30 +176,19 @@ def test_nan_cut_or_non_finite_prominence_is_a_parameter_error(settings):
         features_from_spectrum(freqs, mags, **settings)
 
 
-def full_walk_peaks(freqs, mags, min_prominence=spectral.DEFAULT_MIN_PROMINENCE_NM,
-                    max_freq_hz=spectral.DEFAULT_MAX_FREQ_HZ):
-    """find_peaks as it was before the walk was pruned: every local maximum
-    gets its prominence, and the cut and the threshold apply afterwards."""
-    idx, prom = peak_prominences(mags)
-    keep = ~(freqs[idx] > max_freq_hz) & (prom >= min_prominence)
-    idx, prom = idx[keep], prom[keep]
-    order = np.argsort(-mags[idx], kind="stable")
-    return [SpectralPeak(float(freqs[i]), float(mags[i]), float(p))
-            for i, p in zip(idx[order], prom[order])]
-
-
 def test_pruned_walk_matches_the_full_walk_on_a_stepped_window(params, monkeypatch):
     # One monitor window: 10 s at 240 rpm with a 0.45 nm collision step.
     trace = simulate(Scenario(rpm=240.0, duration_s=10.0), params, seed=13)
     x = trace.channel(0) + 0.45 * (np.arange(trace.n_samples) >= 5200)
     freqs, mags = magnitude_spectrum(x - x.mean(), 1000.0, window="hann")
     peaks = find_peaks(freqs, mags)
-    assert peaks == full_walk_peaks(freqs, mags)
+    assert peaks == walk_find_peaks(freqs, mags, spectral.DEFAULT_MIN_PROMINENCE_NM,
+                                    spectral.DEFAULT_MAX_FREQ_HZ)
     # Most maxima are pruned before the walk; a few pass.
-    maxima, _ = peak_prominences(mags)
-    assert 0 < len(peaks) < maxima.size // 10
+    maxima = find_peaks(freqs, mags, min_prominence=1e-300, max_freq_hz=np.inf)
+    assert 0 < len(peaks) < len(maxima) // 10
     features = identify_features(x, 1000.0, rpm_hint=240.0)
-    monkeypatch.setattr(spectral, "find_peaks", full_walk_peaks)
+    monkeypatch.setattr(spectral, "find_peaks", walk_find_peaks)
     assert identify_features(x, 1000.0, rpm_hint=240.0) == features
 
 

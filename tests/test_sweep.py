@@ -1,14 +1,18 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fbgvib import (DataError, ParameterError, Scenario, analyze_sweep_points,
-                    default_rpm_grid, frf_amplitude, ingest_sweep_dir,
+from fbgvib import (DataError, ParameterError, ParseError, Scenario, analyze_sweep_points,
+                    default_params, default_rpm_grid, frf_amplitude, ingest_sweep_dir,
                     output_response, run_sweep, simulate, steady_amplitude)
 from fbgvib import sweep
 from fbgvib.dataio import write_trace_csv
 from fbgvib.sweep import DEFAULT_DISCARD_FRACTION, report_csv_text, summary_text
 
-from oracles import reference_simulate
+from oracles import reference_simulate, response_resonances
 
 FS = 1000.0
 
@@ -94,13 +98,6 @@ def test_too_few_points_rejected(params):
         run_sweep([10, 100, 1000], template, params)
 
 
-def test_peak_next_to_zero_amplitude_keeps_its_grid_rpm(params, recwarn):
-    report = analyze_sweep_points([(10, 0.0), (20, 1.0), (30, 0.5), (40, 0.4)], params)
-    assert report.peak_rpms == (20.0,)
-    assert report.avoid_bands_rpm[0][0] <= 20.0 <= report.avoid_bands_rpm[0][1]
-    assert not recwarn.list
-
-
 def test_exactly_two_peaks_at_known_resonances(report):
     assert len(report.peak_rpms) == 2
     low, high = report.peak_rpms
@@ -174,6 +171,84 @@ def test_noisy_paper_sweep_keeps_two_peaks_and_its_amplitudes(params, noise_nm, 
         assert amp == pytest.approx(abs(output_response(params, rpm / 60.0)), rel=bound)
 
 
+@pytest.fixture(scope="module")
+def true_resonances(params):
+    """(peak, low edge, high edge) rpm of the model's two resonances."""
+    return response_resonances(params, 10.0, 2400.0)
+
+
+def exact_points(params, rpms):
+    return [(rpm, abs(output_response(params, rpm / 60.0))) for rpm in rpms]
+
+
+@settings(max_examples=40, deadline=None)
+@given(f1=st.floats(0.25, 1.0), f2=st.floats(8.0, 30.0), mass_ratio=st.floats(0.05, 0.5),
+       damping=st.floats(0.02, 0.2))
+def test_exact_curve_names_both_resonances_and_their_bands(f1, f2, mass_ratio, damping):
+    params = default_params(f1, f2, mass_ratio, damping)
+    report = analyze_sweep_points(exact_points(params, default_rpm_grid()), params)
+    truth = response_resonances(params, 10.0, 2400.0)
+    assert len(report.peak_rpms) == len(truth) == 2
+    for rpm, band, expected in zip(report.peak_rpms, report.avoid_bands_rpm, truth):
+        assert (rpm, *band) == pytest.approx(expected, rel=1e-4)
+
+
+@pytest.mark.parametrize("noise_nm", [0.002, 0.05])
+def test_noisy_paper_sweep_names_the_true_peaks_and_bands(params, true_resonances, noise_nm):
+    template = Scenario(rpm=10.0, duration_s=10.0, noise_sigma_nm=noise_nm)
+    report = run_sweep(default_rpm_grid(), template, params, seed=7)
+    assert len(report.peak_rpms) == 2
+    for rpm, band, (peak, low, high) in zip(report.peak_rpms, report.avoid_bands_rpm,
+                                            true_resonances):
+        assert rpm == pytest.approx(peak, rel=0.005)
+        assert band == pytest.approx((low, high), rel=0.01)
+
+
+def test_a_grid_above_the_low_mode_names_the_high_one(params, true_resonances):
+    # The grid of acceptance criterion 9: 12 points from 60 to 2400 rpm.
+    template = Scenario(rpm=60.0, duration_s=10.0, noise_sigma_nm=0.0)
+    report = run_sweep(default_rpm_grid(60.0, 2400.0, 12), template, params, seed=2)
+    assert report.peak_rpms == pytest.approx((true_resonances[1][0],), rel=0.001)
+    assert report.attribution == ("manipulator-dominant",)
+
+
+@pytest.mark.parametrize("n_points", [4, 5])
+def test_five_points_or_fewer_report_no_peaks(params, n_points):
+    # Around the high mode, where six exact points already name it.
+    points = exact_points(params, default_rpm_grid()[30:30 + n_points])
+    report = analyze_sweep_points(points, params)
+    assert report.peak_rpms == report.avoid_bands_rpm == report.attribution == ()
+    assert report.points == tuple(points)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_amplitude_is_refused_with_its_rpm(params, bad):
+    points = exact_points(params, default_rpm_grid())
+    rpm = points[20][0]
+    points[20] = (rpm, bad)
+    with pytest.raises(DataError, match=f"sweep point at {rpm:g} rpm, amplitude {bad:g} nm"):
+        analyze_sweep_points(points, params)
+
+
+def test_a_third_resonance_is_refused(params):
+    # A broad unbalance-driven mode at 300 rpm (damping 0.2) whose peak is
+    # 5 % of the largest amplitude: the two-mode curve misses it.
+    rpms = np.array(default_rpm_grid())
+    amps = np.array([a for _, a in exact_points(params, rpms)])
+    r = rpms / 300.0
+    third = r ** 2 / np.abs(1.0 - r ** 2 + 0.4j * r)
+    amps += 0.05 * amps.max() * third / third.max()
+    with pytest.raises(DataError, match="relative RMS, above 0.25"):
+        analyze_sweep_points(list(zip(rpms.tolist(), amps.tolist())), params)
+
+
+def test_a_pole_inside_the_grid_is_refused(params):
+    # Ten points from 20 rpm at 0.05 nm: the low mode falls between two points.
+    template = Scenario(rpm=20.0, duration_s=10.0, noise_sigma_nm=0.05)
+    with pytest.raises(DataError, match="the grid does not resolve the resonance near 23.9 rpm"):
+        run_sweep(default_rpm_grid(20.0, 2000.0, 10), template, params, seed=0)
+
+
 # --- ingestion ------------------------------------------------------------------
 
 def test_ingest_directory_round_trip(tmp_path, params):
@@ -191,6 +266,14 @@ def test_ingest_directory_round_trip(tmp_path, params):
     # decimals bound the error, however sparse 200 Hz is at 40 Hz.
     for rpm, amp in report.points:
         assert amp == pytest.approx(abs(output_response(params, rpm / 60.0)), rel=1e-6)
+
+
+def test_ingest_names_the_file_and_keeps_the_line_of_a_parse_error(tmp_path, params):
+    path = tmp_path / "rpm_240.csv"
+    path.write_text("time_s,fiber,aa,wavelength_nm\n0.000000,0,0,1535.3\nbad row\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 3: ") as caught:
+        ingest_sweep_dir(tmp_path, params)
+    assert caught.value.line == 3
 
 
 def test_ingest_empty_directory_rejected(tmp_path, params):
