@@ -59,10 +59,11 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
     differences minus the per-block drift allowance accumulate separately
     for upward and downward excursions, and an event fires when either
     accumulator reaches threshold_nm. The reported magnitude is the block
-    mean change across the excursion, so it never falls below the
-    threshold. The baseline restarts after each event. Steps of at least
-    twice the threshold are caught within one window. A non-finite sample
-    raises DataError.
+    mean change from the baseline to the further of the alarm block and the
+    next, so at least the threshold. Both baselines restart at the next
+    block: a step across two blocks reads once, whole, and a second step
+    within one block of the first is missed. Steps of at least twice the
+    threshold are caught within one window. A non-finite sample raises DataError.
     """
     if not (threshold_nm > drift_nm > 0):
         raise ParameterError("configuration must satisfy threshold_nm > drift_nm > 0")
@@ -89,8 +90,9 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
     events = []
     g_up = g_down = 0.0
     start_up = start_down = 0  # baseline block index per accumulator
+    after = 0  # the block after the last alarm: its difference is not counted
     for j in range(1, n_blocks):
-        d = means[j] - means[j - 1]
+        d = 0.0 if j == after else means[j] - means[j - 1]
         if g_up == 0.0:
             start_up = j - 1
         if g_down == 0.0:
@@ -99,9 +101,9 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
         g_down = max(0.0, g_down - d - allowance)
         fired = None
         if g_up >= threshold_nm:
-            fired = ("up", means[j] - means[start_up])
+            fired = ("up", max(means[j:j + 2]) - means[start_up])
         elif g_down >= threshold_nm:
-            fired = ("down", means[start_down] - means[j])
+            fired = ("down", means[start_down] - min(means[j:j + 2]))
         if fired is not None:
             direction, magnitude = fired
             index = (j + 1) * block - 1
@@ -110,7 +112,7 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
                                     magnitude_nm=magnitude,
                                     direction=direction))
             g_up = g_down = 0.0
-            start_up = start_down = j
+            after = j + 1
     return EventReport(events=tuple(events), threshold_nm=threshold_nm,
                        drift_nm=drift_nm, window_s=window_s,
                        sample_rate_hz=sample_rate_hz)

@@ -60,9 +60,14 @@ def steady_amplitude(x, sample_rate_hz, expected_fundamental_hz):
     y = x[int(round(DEFAULT_DISCARD_FRACTION * x.shape[0])):]
     if y.shape[0] / sample_rate_hz < 3.0 / expected_fundamental_hz:
         raise DataError("record keeps fewer than three periods of the expected fundamental")
-    phase = 2.0 * np.pi * expected_fundamental_hz / sample_rate_hz * np.arange(y.shape[0])
-    u = np.linspace(-1.0, 1.0, y.shape[0])
-    design = np.stack((np.sin(phase), np.cos(phase), np.ones_like(u), u, u * u, u * u * u))
+    # In place: the phase waits in the cos row for its sin; u is np.linspace(-1, 1)'s.
+    sin, cos, one, u, u2, u3 = design = np.empty((6, y.shape[0]))
+    k = np.arange(y.shape[0])
+    np.sin(np.multiply(k, 2 * np.pi * expected_fundamental_hz / sample_rate_hz, out=cos), out=sin)
+    np.cos(cos, out=cos)
+    one.fill(1.0)
+    np.subtract(np.multiply(k, 2.0 / (k.size - 1), out=u), 1.0, out=u)[-1] = 1.0
+    np.multiply(np.multiply(u, u, out=u2), u, out=u3)
     # One sample off first, so the base wavelength costs the fit no digits.
     coef = np.linalg.solve(design @ design.T, design @ (y - y[0]))
     return float(np.hypot(coef[0], coef[1]))

@@ -5,7 +5,8 @@ oracle evaluates the defining sum directly, the peak oracle walks to each
 maximum's valleys one sample at a time, the resonance oracle brackets and
 refines the model's response with scipy.optimize, the shape oracle
 integrates the planar Frenet system with fixed-step RK4, the vibration oracle time-steps
-the equations of motion to steady state, the trace-file oracle walks
+the equations of motion to steady state, the tone-fit oracle stacks its
+design from whole-array rows, the trace-file oracle walks
 the CSV one line at a time, the zero-phase oracles run the whole
 cascade forward and then backward, through scipy.signal or through a
 long-double recursion one sample at a time, and the simulation oracle
@@ -155,6 +156,19 @@ def sine_amplitude(x, sample_rate_hz, frequency_hz):
                               np.cos(2 * np.pi * frequency_hz * t),
                               np.ones_like(t)))
     coef, *_ = np.linalg.lstsq(design, np.asarray(x, dtype=float), rcond=None)
+    return float(np.hypot(coef[0], coef[1]))
+
+
+def stacked_steady_amplitude(x, sample_rate_hz, expected_fundamental_hz, discard_fraction):
+    """The tone fit with each row of its design a whole-array expression,
+    stacked: the values sweep.steady_amplitude must give bit for bit (same
+    rows, same normal equations)."""
+    x = np.asarray(x, dtype=float)
+    y = x[int(round(discard_fraction * x.shape[0])):]
+    phase = 2.0 * np.pi * expected_fundamental_hz / sample_rate_hz * np.arange(y.shape[0])
+    u = np.linspace(-1.0, 1.0, y.shape[0])
+    design = np.stack((np.sin(phase), np.cos(phase), np.ones_like(u), u, u * u, u * u * u))
+    coef = np.linalg.solve(design @ design.T, design @ (y - y[0]))
     return float(np.hypot(coef[0], coef[1]))
 
 

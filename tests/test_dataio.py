@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,24 @@ def test_parsed_channels_are_contiguous(tmp_path, params):
     assert [t.channels.shape for t in fibers] == [(2000, 3), (2000, 2)]
     assert all(t.channel(i).flags.c_contiguous
                for t in fibers for i in range(len(t.labels)))
+
+
+def test_parse_holds_the_file_and_two_float_columns_at_most(tmp_path):
+    # numpy reports its buffers to tracemalloc. Time and wavelength are the
+    # only float64 columns, and a label is one byte: the file's bytes and
+    # about 20 bytes a row at the peak, where four float64 columns took 33.
+    rng = np.random.default_rng(3)
+    path = tmp_path / "t.csv"
+    write_trace_csv(path, WavelengthTrace(1000.0, rng.uniform(1520.0, 1560.0, (150_000, 3))))
+    rows = 450_000
+    tracemalloc.start()
+    try:
+        trace = parse_trace_csv(path)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trace.channels.shape == (150_000, 3)
+    assert peak <= os.path.getsize(path) + 3 * 8 * rows
 
 
 def test_out_of_band_wavelength_names_line(tmp_path):

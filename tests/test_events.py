@@ -60,6 +60,21 @@ def test_injected_step_on_ramp_found_once():
     assert event.magnitude_nm == pytest.approx(0.5, abs=0.1)
 
 
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["up", "down"])
+@pytest.mark.parametrize("offset", [0, 30, 50, 70])
+def test_a_step_that_straddles_two_blocks_reads_once_and_whole(offset, direction):
+    # 100-sample blocks: a step part way into one is seen in two of them.
+    rng = np.random.default_rng(offset)
+    x = 1535.3 + rng.normal(0.0, 0.005, size=5000)
+    x[2500 + offset:] += direction * 0.5
+    report = detect_steps(x, threshold_nm=0.2)
+    assert len(report.events) == 1
+    event = report.events[0]
+    assert event.direction == ("up" if direction > 0 else "down")
+    assert 2500 <= event.index < 2700
+    assert event.magnitude_nm == pytest.approx(0.5, abs=0.005)
+
+
 def test_downward_step_direction():
     x = np.full(30000, 1535.3)
     x[12000:] -= 0.6

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fbgvib import (DataError, ParameterError, ParseError, Scenario, analyze_sweep_points,
@@ -12,7 +12,7 @@ from fbgvib import sweep
 from fbgvib.dataio import write_trace_csv
 from fbgvib.sweep import DEFAULT_DISCARD_FRACTION, report_csv_text, summary_text
 
-from oracles import reference_simulate, response_resonances
+from oracles import reference_simulate, response_resonances, stacked_steady_amplitude
 
 FS = 1000.0
 
@@ -51,6 +51,29 @@ def test_too_few_periods_rejected():
     x = np.sin(2 * np.pi * 0.05 * t)
     with pytest.raises(DataError):
         steady_amplitude(x, FS, expected_fundamental_hz=0.05)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 40000), rate=st.sampled_from([250.0, 1000.0]) | st.floats(1.0, 1e4),
+       share=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(n=2, rate=1000.0, share=0.0, seed=0)
+@example(n=113 * 250, rate=250.0, share=0.0, seed=1)
+def test_steady_amplitude_is_the_stacked_fit_bit_for_bit(n, rate, share, seed):
+    kept = n - int(round(DEFAULT_DISCARD_FRACTION * n))
+    low = 3.0 * rate / kept  # three periods in the kept record, the fewest taken
+    f_hz = low + share * (0.5 * rate - low)
+    if kept / rate < 3.0 / f_hz:  # the minimum rounded below three periods
+        f_hz = np.nextafter(f_hz, np.inf)
+    rng = np.random.default_rng(seed)
+    x = 1535.0 + rng.uniform(-1.0, 1.0) * np.sin(2 * np.pi * f_hz * np.arange(n) / rate
+                                                  + rng.uniform(0.0, 6.3))
+    x += rng.normal(0.0, rng.uniform(0.0, 0.1), n)
+    if not f_hz < 0.5 * rate:
+        with pytest.raises(ParameterError):
+            steady_amplitude(x, rate, expected_fundamental_hz=f_hz)
+        return
+    amp = steady_amplitude(x, rate, expected_fundamental_hz=f_hz)
+    assert amp.hex() == stacked_steady_amplitude(x, rate, f_hz, DEFAULT_DISCARD_FRACTION).hex()
 
 
 @pytest.mark.parametrize("f_hz", [0.0, -2.0, float("nan"), float("inf"), 500.0])

@@ -516,6 +516,67 @@ def test_every_block_of_a_long_file_is_checked(tmp_path, byte):
     assert outcome(parse_trace_csv, path) == expected
 
 
+def _edge_trace_lines():
+    """Lines of a 12 s, 1 kHz, three-area trace: the time field widens at
+    10 s, after 30000 lines of 28 bytes, and the next line opens a run of
+    29-byte lines."""
+    rng = np.random.default_rng(11)
+    lines = trace_csv_text(WavelengthTrace(1000.0, rng.uniform(1520.0, 1560.0, (12000, 3))))
+    return lines.splitlines(keepends=True)
+
+
+#: (line index in the text, field, position within the field) of each edge.
+READER_EDGES = {"last line of a run's partial block": (30000, 3, -1),
+                "first line after the time widens": (30001, 3, -1),
+                "fiber column": (20000, 1, 0), "area column": (30002, 2, 0)}
+
+
+@pytest.mark.parametrize("byte", ["2", "3", "x", ":", "/", "-"])
+@pytest.mark.parametrize("edge", sorted(READER_EDGES))
+def test_a_bad_byte_at_a_reader_edge_is_named_at_the_oracle_line(tmp_path, edge, byte):
+    lines = _edge_trace_lines()
+    step = dataio._BLOCK_BYTES // len(lines[-1])  # lines a read block holds
+    assert len(lines[1]) == 28 and len(lines[30001]) == 29 and 30000 % step
+    assert 30000 // step * step < READER_EDGES["last line of a run's partial block"][0]
+    index, field, at = READER_EDGES[edge]
+    fields = lines[index].rstrip("\n").split(",")
+    fields[field] = fields[field][:at % len(fields[field])] + byte + (
+        fields[field][at % len(fields[field]) + 1:])
+    lines[index] = ",".join(fields) + "\n"
+    path = tmp_path / "t.csv"
+    path.write_text("".join(lines))
+    expected = outcome(line_walk_parse_trace_csv, path)
+    if byte in "23" and field == 3:  # a wavelength digit keeps every rule
+        assert expected[0] == "ok"
+    elif (byte, field) == ("2", 2):  # area 2 twice at one instant, no area 1
+        assert expected[:2] == ("error", None)
+    else:
+        assert expected[:2] == ("error", index + 1)
+    assert outcome(parse_trace_csv, path) == expected
+
+
+#: How a file prints the labels: on every row, or ("area 1 ...") on area 1's rows only.
+WIDE_LABELS = {"both": "0{f},0{a}", "fiber": "0{f},{a}", "area": "{f},00{a}",
+               "area 1 only": "{f},0{a}", "area 1 as 10": "{f},{a}0"}
+
+
+@pytest.mark.parametrize("kind", sorted(WIDE_LABELS))
+def test_labels_of_more_than_one_digit_parse_like_the_oracle(tmp_path, kind):
+    lines = _edge_trace_lines()[:40]
+    plain = tmp_path / "plain.csv"
+    plain.write_text("".join(lines))
+    for i, line in enumerate(lines[1:], start=1):
+        t, fiber, aa, wl = line.split(",")
+        labels = WIDE_LABELS[kind] if aa == "1" or "area 1" not in kind else "{f},{a}"
+        lines[i] = ",".join((t, labels.format(f=fiber, a=aa), wl))
+    path = tmp_path / "t.csv"
+    path.write_text("".join(lines))
+    expected = outcome(line_walk_parse_trace_csv, path)
+    assert outcome(parse_trace_csv, path) == expected
+    assert expected == (("error", 3, "line 3: aa must be 0, 1, or 2, got 10")
+                        if kind == "area 1 as 10" else outcome(parse_trace_csv, plain))
+
+
 @settings(deadline=None, max_examples=300)
 @given(values=st.lists(st.floats(-1e300, 1e300)
                        | st.sampled_from([1e-3, 0.001000000001, 0.0, -0.0]),
