@@ -99,10 +99,12 @@ AREAS = (0, 1, 2)
 #: spacing is at most 1/2 there, so its fraction shows every half-way case.
 _EXACT_LIMIT = 2.0 ** 52
 _MAX_DECIMALS = 15
+#: The powers of ten a double holds exactly, 10**0 .. 10**22.
+_POW10 = np.array([10.0 ** k for k in range(23)])
 
 
 def _fixed_template(row_format, n_columns):
-    """``[(literal, column, decimals)]`` when every field is ``{:.Nf}``, else None.
+    """``[(literal, column, N, kind)]`` when every field is ``{:.Nf}`` or ``{:.Ng}``, else None.
 
     The last entry's column is None when the template ends in literal text.
     """
@@ -115,10 +117,10 @@ def _fixed_template(row_format, n_columns):
         if "\0" in literal or not literal.isascii():
             return None
         if name is None:
-            pieces.append((literal, None, 0))
+            pieces.append((literal, None, 0, "f"))
             continue
-        match = re.fullmatch(r"\.([0-9]+)f", spec)
-        if conversion or not match or int(match[1]) > _MAX_DECIMALS:
+        match = re.fullmatch(r"\.([0-9]+)([fg])", spec)
+        if conversion or not match or not (match[2] == "g") <= int(match[1]) <= _MAX_DECIMALS:
             return None
         if name == "":
             column, auto = auto, auto + 1
@@ -128,18 +130,17 @@ def _fixed_template(row_format, n_columns):
             return None
         if column >= n_columns or (auto and manual):
             return None
-        pieces.append((literal, column, int(match[1])))
+        pieces.append((literal, column, int(match[1]), match[2]))
     return pieces
 
 
 def _scaled_integers(x, decimals):
-    """The integer ``f"{v:.{decimals}f}"`` spells without point and sign:
-    |v| * 10**decimals rounded half to even on its exact value, as float64.
-    None when a value is not finite or the product reaches 2**52."""
+    """The integer ``f"{v:.{decimals}f}"`` spells without point and sign, for
+    one or per-value decimals: |v| * 10**decimals rounded half to even on its
+    exact value, as float64. None unless each product is finite and below 2**52."""
     a = np.abs(x)
-    scale = 10.0 ** decimals
     with np.errstate(over="ignore"):
-        p = a * scale
+        p = a * _POW10[decimals]
     if not np.all(p < _EXACT_LIMIT):
         return None
     k = np.floor(p)
@@ -147,51 +148,84 @@ def _scaled_integers(x, decimals):
     k += frac > 0.5
     tie = np.flatnonzero(frac == 0.5)
     if tie.size:  # half-way in p: str.format rounds the exact product
-        k[tie] = [int(f"{v:.{decimals}f}".replace(".", "")) for v in a[tie].tolist()]
+        places = np.broadcast_to(decimals, a.shape)[tie].tolist()
+        k[tie] = [int(f"{v:.{d}f}".replace(".", "")) for v, d in zip(a[tie].tolist(), places)]
     return k
 
 
-def _fixed_bytes(x, decimals):
-    """``f"{v:.{decimals}f}"`` of each value as a ``(width, rows)`` uint8
-    matrix, one column per value. Whole-part leading zeros, and the sign
-    of a value that has none, are left as byte 0, to be dropped from the
-    text. None when a value is not finite or ``|v| * 10**decimals`` reaches
-    2**52.
-    """
-    k = _scaled_integers(x, decimals)
+def _mantissas(x, digits):
+    """``(k, e)``: ``f"{v:.{digits - 1}e}"`` as its digits' integer and its
+    exponent, or None unless ``{:.{digits}g}`` prints every value so (e < -4)
+    with 10**(digits - 1 - e) in _POW10. log10's e, one off near a power of
+    ten, moves where the product leaves [10**(digits - 1), 10**digits), then
+    where it rounds up."""
+    a = np.abs(x)
+    if not np.all((a > 0) & (a < np.inf)):
+        return None
+    least, limit = _POW10[digits - 1], _POW10[digits]
+    e = np.clip(np.floor(np.log10(a)), digits - _POW10.size, digits - 1).astype(np.int64)
+    p = a * _POW10[digits - 1 - e]
+    e += p >= limit
+    e -= p < least
+    shift = digits - 1 - e
+    k = _scaled_integers(a, shift) if 0 <= shift.min() <= shift.max() < _POW10.size else None
     if k is None:
         return None
+    e += k == limit  # rounded up into the next decade
+    k[k == limit] = least
+    return (k, e) if e.max() < -4 else None
+
+
+def _fixed_bytes(x, precision, kind):
+    """``f"{v:.{precision}{kind}}"`` of each value as a ``(width, rows)``
+    uint8 matrix, one column per value. Whole-part leading zeros, the sign
+    of a value that has none and, under "g", trailing zeros of the fraction
+    and a point they leave bare are byte 0, to be dropped from the text.
+    None when a value needs str.format (see _scaled_integers, _mantissas).
+    """
+    k, exponent = (_mantissas(x, precision) or (None, None) if kind == "g"
+                   else (_scaled_integers(x, precision), None))
+    if k is None:
+        return None
+    decimals, tail = (precision, 0) if exponent is None else (precision - 1, 4)  # e-XX
     k = k.astype(np.uint64)
     n_digits = max(len(str(int(k.max()))), decimals + 1)
     negative = np.signbit(x)
     signed = bool(negative.any())
-    out = np.empty((signed + n_digits + (decimals > 0), k.shape[0]), np.uint8)
+    out = np.empty((signed + n_digits + (decimals > 0) + tail, k.shape[0]), np.uint8)
+    body = out[:out.shape[0] - tail]
     if decimals:
-        out[-decimals - 1] = ord(".")
+        body[-decimals - 1] = ord(".")
     for i in range(n_digits):  # lowest digit first, stepping over the point
         row = -1 - i - (0 < decimals <= i)
         q = np.floor_divide(k, 10)
-        out[row] = k - 10 * q
-        out[row] += ord("0")
+        body[row] = k - 10 * q
+        body[row] += ord("0")
         if i > decimals:  # a leading zero of the whole part
-            out[row, k == 0] = 0
+            body[row, k == 0] = 0
         k = q
+    if tail:  # trailing zeros of the fraction, then a bare point; then e-XX
+        end = body[-decimals - 1:][::-1]
+        end[np.logical_and.accumulate((end == ord("0")) | (end == ord(".")))] = 0
+        out[-4], out[-3] = ord("e"), ord("-")
+        out[-2:] = np.divmod(-exponent, 10)
+        out[-2:] += ord("0")
     if signed:
         out[0] = negative.view(np.uint8) * np.uint8(ord("-"))
     return out
 
 
 def _fixed_rows(pieces, chunk):
-    """The chunk's rows under a ``{:.Nf}`` template, or None (see _fixed_bytes)."""
+    """The chunk's rows under a ``{:.Nf}`` or ``{:.Ng}`` template, or None (see _fixed_bytes)."""
     rows = chunk[0].shape[0]
     rendered, blocks = {}, []
-    for literal, column, decimals in pieces:
+    for literal, column, precision, kind in pieces:
         text = np.frombuffer(literal.encode(), np.uint8)
         blocks.append(np.broadcast_to(text[:, None], (text.size, rows)))
         if column is not None:
-            key = column, decimals
+            key = column, precision, kind
             if key not in rendered:
-                rendered[key] = _fixed_bytes(chunk[column], decimals)
+                rendered[key] = _fixed_bytes(chunk[column], precision, kind)
                 if rendered[key] is None:
                     return None
             blocks.append(rendered[key])
@@ -203,10 +237,10 @@ def csv_text(header, row_format, columns):
 
     ``columns`` are equal-length 1-D sequences of numbers (else DataError);
     ``row_format`` ends each row with a newline. Rows are formatted a chunk
-    at a time. When every field is ``{:.Nf}``, a chunk is formatted with
-    array arithmetic to the same bytes; other templates, and chunks holding
-    non-finite or very large values, go through ``str.format`` on the
-    chunk's values as Python floats.
+    at a time. When every field is ``{:.Nf}`` or ``{:.Ng}``, a chunk is
+    formatted with array arithmetic to the same bytes; other templates, and
+    chunks holding values it does not cover (see _fixed_bytes), go through
+    ``str.format`` on the chunk's values as Python floats.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
     if not all(c.ndim == 1 and c.shape == columns[0].shape for c in columns):

@@ -20,6 +20,7 @@ from .errors import DataError, ParameterError, ParseError
 DEFAULT_SENSITIVITY_NM_PER_INVM = 13.0
 DEFAULT_BASE_NM = 1535.3
 POLYLINE_STEP_MM = 0.1  # longest step of a reconstructed centerline
+MAX_TURNING_RAD = 2.0 * math.pi  # a continuum manipulator turns at most once
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ def reconstruct(curvatures_inv_m, geometry=CmGeometry()):
 
     The straight pose maps to tip (0, length_mm); curvature is exact in the
     arc sense so a uniform curvature pi/(2 L) lands on the quarter-circle
-    point (2L/pi, 2L/pi).
+    point (2L/pi, 2L/pi). The pose is refused as in tips_for_curvatures.
     """
     kappa = np.asarray(curvatures_inv_m, dtype=float)
     seg_lengths = geometry.segment_lengths_mm()
@@ -146,11 +147,18 @@ def reconstruct(curvatures_inv_m, geometry=CmGeometry()):
 
 
 def tips_for_curvatures(curvature_rows_inv_m, geometry=CmGeometry()):
-    """Tip positions (x_mm, z_mm) for many curvature triples at once."""
+    """Tip positions (x_mm, z_mm) for many curvature triples at once; a
+    sample turning more than MAX_TURNING_RAD (sum of |curvature| * segment
+    length) raises DataError naming the first."""
     kappa = np.asarray(curvature_rows_inv_m, dtype=float) / 1000.0
     seg_lengths = geometry.segment_lengths_mm()
     if kappa.ndim != 2 or kappa.shape[1] != len(seg_lengths):
         raise DataError(f"expected rows of {len(seg_lengths)} curvature values")
+    turning = np.abs(kappa) @ np.array(seg_lengths)
+    over = np.flatnonzero(turning > MAX_TURNING_RAD)
+    if over.size:
+        pose = f"sample {over[0]}" if kappa.shape[0] > 1 else "the pose"
+        raise DataError(f"{pose} turns the tip {turning[over[0]]:.4g} rad, over one full turn")
     x = np.zeros(kappa.shape[0])
     z = np.zeros(kappa.shape[0])
     theta = np.zeros(kappa.shape[0])

@@ -116,7 +116,8 @@ def _fit_resonances(rpms, amps):
     rpm_max = float(rpms.max())
     x = (rpms / rpm_max) ** 2
     design = ((amps / x) ** 2)[:, None] * x[:, None] ** np.arange(4, -1, -1)
-    q = np.linalg.lstsq(design, np.ones_like(x), rcond=None)[0]
+    norms = np.linalg.norm(design, axis=0)  # unit columns: x**4 reaches 1e-19 on a paper grid
+    q = np.linalg.lstsq(design / norms, np.ones_like(x), rcond=None)[0] / norms
     residual = math.sqrt(np.mean((design @ q - 1.0) ** 2))
     if not residual <= MAX_FIT_RESIDUAL:
         raise DataError(f"the two-mode curve misses the sweep by {residual:.2f} relative RMS, "

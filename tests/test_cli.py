@@ -810,6 +810,22 @@ def test_non_finite_calibration_sensitivity_is_usage_error(tmp_path, capsys, val
     assert not poly.exists()
 
 
+def test_a_calibration_that_turns_the_tip_more_than_once_is_usage_error(tmp_path, capsys):
+    # 1e-300 nm per 1/m reads each shift as a curvature near 1e298 1/m; such a
+    # file once printed a tip at the manipulator's base and exited 0.
+    trace, cal = tmp_path / "t.csv", tmp_path / "cal.csv"
+    poly, tips = tmp_path / "poly.csv", tmp_path / "tips.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "3", "--out", str(trace))
+    cal.write_text("aa_index,base_wavelength_nm,sensitivity_nm_per_invm\n"
+                   "0,1535.3,1e-300\n1,1535.3,1e-300\n2,1535.3,1e-300\n")
+    status, out, err = run(capsys, "shape", str(trace), "--calibration", str(cal),
+                           "--out", str(poly), "--out-tips", str(tips))
+    assert status == 2 and out == "" and not poly.exists() and not tips.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: the pose turns the tip ")
+    assert err.endswith(" rad, over one full turn\n")
+
+
 def area_trace(tmp_path, labels):
     """A 10 s trace whose area k carries a line at k + 2 Hz."""
     t = np.arange(10000) / 1000.0

@@ -2,8 +2,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -129,3 +131,65 @@ def test_the_shape_cutoff_has_one_owner():
     from fbgvib import spectral, sweep
 
     assert sweep.DEFAULT_SHAPE_CUTOFF_HZ is spectral.DEFAULT_SHAPE_CUTOFF_HZ
+
+
+def loaded_modules(code):
+    """The fbgvib modules a fresh interpreter holds after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    probe = (code + "\nimport sys\n"
+             "print(sorted(m for m in sys.modules if m.startswith('fbgvib')))\n")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True)
+    assert result.returncode == 0, result.stderr
+    return ast.literal_eval(result.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    assert loaded_modules("import fbgvib") == ["fbgvib"]
+
+
+#: The modules each subcommand loads besides cli, dataio and errors.
+COMMAND_MODULES = {"simulate": ("shape", "vib_model"), "analyze": ("filtering", "spectral"),
+                   "filter": ("filtering",), "shape": ("shape",), "detect": ("events",),
+                   "sweep": ("filtering", "shape", "spectral", "sweep", "vib_model")}
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    vib_model, dataio = package_module("vib_model"), package_module("dataio")
+    path = tmp_path_factory.mktemp("trace") / "t.csv"
+    scenario = vib_model.Scenario(rpm=120.0, duration_s=3.0)
+    dataio.write_trace_csv(path, vib_model.simulate(scenario, vib_model.default_params()))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, trace_path, command):
+    out = str(tmp_path / "out.csv")
+    argv = {"simulate": ["--rpm", "120", "--duration", "3"],
+            "analyze": [trace_path, "--rpm-hint", "120"], "filter": [trace_path, "--rpm", "120"],
+            "shape": [trace_path], "detect": [trace_path],
+            "sweep": ["--rpm-min", "600", "--rpm-max", "2400", "--points", "10"]}[command]
+    code = f"from fbgvib.cli import main\nassert main({[command, *argv, '--out', out]!r}) == 0"
+    modules = {"cli", "dataio", "errors", *COMMAND_MODULES[command]}
+    assert loaded_modules(code) == ["fbgvib"] + [f"fbgvib.{m}" for m in sorted(modules)]
+
+
+def test_every_public_name_is_the_object_its_module_defines():
+    package = package_module("")
+    assert len(package.__all__) == 52 and set(package.__all__) <= set(dir(package))
+    for name in package.__all__:
+        value = getattr(package, name)
+        if isinstance(value, types.ModuleType):
+            assert value is package_module(name)
+        else:
+            home = importlib.import_module(value.__module__)
+            assert home.__name__.startswith("fbgvib.") and getattr(home, name) is value
+
+
+def test_a_star_import_binds_every_public_name():
+    code = ("from fbgvib import *\nimport fbgvib\n"
+            "assert len(fbgvib.__all__) == 52\n"
+            "assert [n for n in fbgvib.__all__ if n not in globals()] == []")
+    assert len(loaded_modules(code)) == 9  # the package and its eight modules

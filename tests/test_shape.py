@@ -157,6 +157,18 @@ def test_matches_frenet_ode_oracle():
     assert np.max(np.abs(tips - oracle)) <= 1e-6 * L
 
 
+def test_a_pose_that_turns_more_than_once_is_refused():
+    # A uniform curvature that bends the 35 mm segment through 1.01 turns.
+    over = 1000.0 * 2.02 * np.pi / L
+    quarter = 1000.0 * np.pi / (2.0 * L)
+    with pytest.raises(DataError, match=r"^sample 1 turns the tip 6\.346 rad, "
+                                        r"over one full turn$"):
+        tips_for_curvatures([[quarter] * 3, [over] * 3, [-over] * 3])
+    with pytest.raises(DataError, match="^the pose turns the tip"):
+        reconstruct([over, -over, over])
+    assert tips_for_curvatures([[0.99 * over, 0.0, -0.99 * over]]).shape == (1, 2)
+
+
 def test_wrong_curvature_count_rejected():
     with pytest.raises(DataError):
         reconstruct([0.0, 0.0])

@@ -458,6 +458,84 @@ def test_digit_writer_edges_match_str_format(decimals):
         assert csv_text("h", template, [values]).split("\n") == expected + [""]
 
 
+def g_values(digits):
+    """Doubles that stress '{:.Ng}': every exponent (subnormals and signed
+    zeros too), e-notation mantissas, values that round up into the next
+    decade, and |v| * 10**k that are half-way as float64 products."""
+    def round_up(e):  # half an N-digit ulp below 10**(e + 1), and a tenth of one
+        return [float(f"{'9' * n}5e{e - n}") for n in (digits, digits + 1)]
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False, width=64),
+        st.floats(1e-22, 1e-5) | st.floats(-1e-5, -1e-22),
+        st.integers(-23, 1).flatmap(lambda e: st.sampled_from(round_up(e)).flatmap(_near)),
+        st.builds(lambda j, shift: (j + 0.5) / 10.0 ** shift,
+                  st.integers(10 ** (digits - 1), 10 ** digits - 1), st.integers(digits + 4, 22)),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 12345678950.0]),
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data(), digits=st.integers(1, 15), other=st.integers(1, 15),
+       decimals=st.integers(0, 15), chunk_rows=st.integers(1, 8))
+def test_g_rows_match_per_row_formatting(data, digits, other, decimals, chunk_rows):
+    # Small chunks mix rows formatted as arrays with chunks sent to str.format.
+    rows = data.draw(st.lists(st.tuples(g_values(digits), fixed_point_values(decimals)),
+                              max_size=30), label="rows")
+    template = f"{{0:.{digits}g}},{{1:.{decimals}f}};{{0:.{other}g}}\n"
+    columns = [np.array([r[i] for r in rows], dtype=float) for i in range(2)]
+    expected = "".join(["h\n"] + [template.format(*row) for row in rows])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "CHUNK_ROWS", chunk_rows)
+        assert csv_text("h", template, columns) == expected
+
+
+@pytest.mark.parametrize("value", [9.9999999995e-05, 12345678950.0, 9.999999995e-06])
+@pytest.mark.parametrize("step", [-2, -1, 0, 1, 2])
+def test_g_round_ups_and_half_ways_match_str_format(value, step):
+    for _ in range(abs(step)):
+        value = float(np.nextafter(value, np.inf if step > 0 else 0.0))
+    for digits in range(1, 16):
+        template = f"{{:.{digits}g}}\n"
+        expected = "h\n" + template.format(value) + template.format(-value)
+        assert csv_text("h", template, [np.array([value, -value])]) == expected
+
+
+def _g_edges(digits):
+    """Named groups of e-notation values the '{:.Ng}' array path writes."""
+    rng = np.random.default_rng(digits)
+    exponents = np.arange(digits - 23, -4)  # every exponent it takes
+    def both_signs(values):
+        values = np.asarray(values, dtype=float).ravel()
+        return np.concatenate([values, -values])
+    # Inside the range, with the next decade in e-notation too.
+    powers = 10.0 ** exponents[1:-1]
+    # N-digit mantissas, 0.2 or 0.7 from a rounding tie and from 10**N.
+    mantissas = (rng.integers(10 ** (digits - 1), 10 ** digits - 1, (40, exponents.size))
+                 + rng.choice([0.2, 0.7], (40, exponents.size)))
+    return {
+        "every exponent": both_signs(mantissas / 10.0 ** (digits - 1 - exponents)),
+        "powers of ten": both_signs(np.concatenate(
+            [np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])),
+        "round into a new decade": both_signs(10.0 * powers * (1.0 - 0.2 / 10.0 ** digits)),
+        "trailing zeros": both_signs(np.outer([1.0, 1.2, 3.04, 9.0, 1.000001], powers)),
+        # |v| * 10**(N + 4) half-way as a double: str.format rounds each.
+        "half-way products": both_signs(
+            (rng.integers(10 ** (digits - 1), 9 * 10 ** (digits - 1), 40) + 0.5)
+            / 10.0 ** (digits + 4)),
+    }
+
+
+@pytest.mark.parametrize("digits", range(1, 16))
+def test_g_writer_edges_take_the_array_path_and_match_str_format(digits):
+    groups = _g_edges(digits)
+    template = f"{{:.{digits}g}}\n"
+    for values in [*groups.values(), np.concatenate(list(groups.values()))]:
+        assert values.size <= CHUNK_ROWS  # one chunk, written as arrays
+        assert dataio._fixed_rows(dataio._fixed_template(template, 1), [values])
+        expected = ["h"] + [template.format(v)[:-1] for v in values.tolist()]
+        assert csv_text("h", template, [values]).split("\n") == expected + [""]
+
+
 def _instants(lines):
     """Data lines grouped by their time field, in file order."""
     groups = []
