@@ -265,7 +265,7 @@ def build_parser(config=None, command=None):
         setting(p, "--duration", "duration_s", 10.0, help="seconds")
         setting(p, "--sample-rate", "sample_rate_hz", 1000.0, help="Hz")
         setting(p, "--noise", "noise_sigma_nm", 0.002, help="sigma, nm")
-        setting(p, "--base", "base_wavelength_nm", fbgvib.shape.DEFAULT_BASE_NM,
+        setting(p, "--base", "base_wavelength_nm", dataio.DEFAULT_BASE_NM,
                 help="base wavelength, nm")
         p.add_argument("--bend", help="e.g. pull=60,release=60,cable_speed=0.1")
         p.add_argument("--out", required=True)
@@ -281,7 +281,7 @@ def build_parser(config=None, command=None):
         setting(p, "--prominence", "min_prominence_nm", fbgvib.spectral.DEFAULT_MIN_PROMINENCE_NM)
         p.add_argument("--out", default=None, help="spectrum CSV path")
         p.set_defaults(func=_cmd_analyze, shape_cutoff_hz=config.get(
-            "shape_cutoff_hz", fbgvib.spectral.DEFAULT_SHAPE_CUTOFF_HZ))
+            "shape_cutoff_hz", dataio.DEFAULT_SHAPE_CUTOFF_HZ))
 
     if p := add("filter", "remove tool vibration with notches"):
         p.add_argument("trace")

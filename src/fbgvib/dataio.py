@@ -557,6 +557,12 @@ def parse_trace_csv(path):
     return traces
 
 
+#: Defaults of the shape-band cutoff (Hz) and of each area's calibration:
+#: base wavelength (nm) and sensitivity (nm per 1/m).
+DEFAULT_SHAPE_CUTOFF_HZ = 0.05
+DEFAULT_BASE_NM = 1535.3
+DEFAULT_SENSITIVITY_NM_PER_INVM = 13.0
+
 # Run configuration: plain-text key = value, units embedded in key names.
 CONFIG_KEYS = {
     "tool_velocity_rpm": float,

@@ -97,22 +97,22 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
             start_up = j - 1
         if g_down == 0.0:
             start_down = j - 1
-        g_up = max(0.0, g_up + d - allowance)
-        g_down = max(0.0, g_down - d - allowance)
-        fired = None
+        # The reset, as max(0.0, g) gives it (NaN and -0.0 too), without a call.
+        g_up = g_up + d - allowance
+        g_up = g_up if g_up > 0.0 else 0.0
+        g_down = g_down - d - allowance
+        g_down = g_down if g_down > 0.0 else 0.0
         if g_up >= threshold_nm:
-            fired = ("up", max(means[j:j + 2]) - means[start_up])
+            direction, magnitude = "up", max(means[j:j + 2]) - means[start_up]
         elif g_down >= threshold_nm:
-            fired = ("down", means[start_down] - min(means[j:j + 2]))
-        if fired is not None:
-            direction, magnitude = fired
-            index = (j + 1) * block - 1
-            events.append(StepEvent(index=index,
-                                    time_s=t0 + index / sample_rate_hz,
-                                    magnitude_nm=magnitude,
-                                    direction=direction))
-            g_up = g_down = 0.0
-            after = j + 1
+            direction, magnitude = "down", means[start_down] - min(means[j:j + 2])
+        else:
+            continue
+        index = (j + 1) * block - 1
+        events.append(StepEvent(index=index, time_s=t0 + index / sample_rate_hz,
+                                magnitude_nm=magnitude, direction=direction))
+        g_up = g_down = 0.0
+        after = j + 1
     return EventReport(events=tuple(events), threshold_nm=threshold_nm,
                        drift_nm=drift_nm, window_s=window_s,
                        sample_rate_hz=sample_rate_hz)

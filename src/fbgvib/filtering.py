@@ -4,15 +4,15 @@ Each notch is a single second-order section, the mean of one and a
 second-order allpass (Regalia, Mitra & Vaidyanathan, Proc. IEEE 1988): its
 zeros sit on the unit circle at the notch frequency, its -3 dB width is
 the requested one, its DC gain is exactly one, and it gains nowhere. The
-whole cascade runs forward and then backward, so it has zero net phase:
-shape changes and collision transients keep their timing.
+whole cascade runs forward and then backward, up to where the output ends,
+so it has zero net phase: shape changes and collision transients keep their timing.
 
 Each pass starts step-matched, as if the cascade had run on the first
 sample forever: only the departure from that sample is filtered from rest,
 so the recursion works on the small signal rather than on the ~1535 nm
-level. A pass is one call of scipy's compiled ``_sosfilt``, which runs every
-section per sample, taken from its extension without ``scipy.signal``;
-``spectral`` takes scipy's compiled prominence walk the same way.
+level. A pass is one call of scipy's compiled ``_sosfilt`` (taken from its
+extension without ``scipy.signal``, as ``spectral`` takes the prominence
+walk) on the kernel matrix and DC gain the spec computed when it was built.
 """
 
 from __future__ import annotations
@@ -44,16 +44,18 @@ DEFAULT_N_HARMONICS = 3
 class FilterSpec:
     """Immutable cascade of stable second-order sections.
 
-    ``sos`` is the matrix scipy's ``_sosfilt`` runs, one row
-    ``b0 b1 b2 1 a1 a2`` per section. It is checked, and its largest pole
-    radius found, once when the spec is built; it is read-only after that.
-    A spec compares and hashes by identity.
+    ``sos`` holds one row ``b0 b1 b2 1 a1 a2`` per section. It is checked,
+    and its largest pole radius and DC gain found, once when the spec is
+    built; it is read-only after that, so ``_sosfilt`` runs ``kernel_sos``,
+    a writable copy. A spec compares and hashes by identity.
     """
 
     sos: np.ndarray
     sample_rate_hz: float
     notches: tuple = ()  # (center_hz, bandwidth_hz) per declared notch
     pole_radius: float = field(init=False, repr=False)
+    dc_gain: float = field(init=False, repr=False)
+    kernel_sos: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not _finite_positive(self.sample_rate_hz):
@@ -67,9 +69,12 @@ class FilterSpec:
                      default=0.0)
         if radius >= 1.0:
             raise ParameterError("unstable section: poles must lie inside the unit circle")
+        object.__setattr__(self, "kernel_sos", sos.copy())
         sos.flags.writeable = False
         object.__setattr__(self, "sos", sos)
         object.__setattr__(self, "pole_radius", radius)
+        object.__setattr__(self, "dc_gain", math.prod(
+            (b0 + b1 + b2) / (1.0 + a1 + a2) for b0, b1, b2, _, a1, a2 in sos.tolist()))
         object.__setattr__(self, "notches", tuple(self.notches))
         for center, _ in self.notches:
             gain = abs(self.response(center))
@@ -217,40 +222,40 @@ def apply_zero_phase(spec, x):
     The record is extended by odd reflection (three time constants of the
     slowest pole) so ramps cross the edges without startup transients. The
     effective magnitude response is the square of the cascade's and the net
-    phase is zero.
+    phase is zero. The backward pass stops where the output ends: a causal
+    pass never reads ahead, and the left reflection it would end on is cut.
     """
     # Loaded on first use: only filter and sweep among the CLI stages get here.
     sosfilt = _scipy_kernel("_sosfilt", "_sosfilt")
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DataError("channel must be 1-D")
-    if x.shape[0] <= 6 * max(spec.sos.shape[0], 1):
+    n = x.shape[0]
+    if n <= 6 * max(spec.sos.shape[0], 1):
         raise DataError("record too short for the edge-transient margin")
-    pad = min(transient_samples(spec), x.shape[0] - 1)
+    pad = min(transient_samples(spec), n - 1)
     # Odd reflection preserves slope continuity at both edges.
-    left = 2.0 * x[0] - x[pad:0:-1]
-    right = 2.0 * x[-1] - x[-2:-pad - 2:-1]
-    y = np.concatenate((left, x, right))
-    # _sosfilt refuses the spec's read-only matrix, so it gets a copy.
-    sos = spec.sos.copy()
-    dc_gain = math.prod((b0 + b1 + b2) / (1.0 + a1 + a2)
-                        for b0, b1, b2, _, a1, a2 in sos.tolist())
+    y = np.empty(n + 2 * pad)
+    np.subtract(2.0 * x[0], x[pad:0:-1], out=y[:pad])
+    y[pad:pad + n] = x
+    np.subtract(2.0 * x[-1], x[-2:-pad - 2:-1], out=y[pad + n:])
     # Work arrays reused by both passes: fresh ones would be page-faulted in.
-    d, f = np.empty((2, 1, y.shape[0]))
-    for _ in range(2):
+    work = np.empty((2, 1, y.shape[0]))
+    for end in (y.shape[0], n + pad):
         # Step-matched start: the cascade has run on y[0] forever, so y[0]
         # leaves scaled by the DC gain and only the departure d from it is
         # filtered from rest, every section per sample in one compiled loop.
-        np.subtract(y, y[0], out=d[0])
+        d, f = work[:, :, :end]
+        np.subtract(y[:end], y[0], out=d[0])
         np.copyto(f, d)
-        sosfilt(sos, f, np.zeros((1, sos.shape[0], 2)))
+        sosfilt(spec.kernel_sos, f, np.zeros((1, spec.sos.shape[0], 2)))
         # y += (f - d) + (G - 1) y[0]: the identity cascade returns y
         # exactly. Reversing is a view, for the next pass.
         f -= d
-        f += (dc_gain - 1.0) * y[0]
-        y += f[0]
+        f += (spec.dc_gain - 1.0) * y[0]
+        y[:end] += f[0]
         y = y[::-1]
-    return y[pad:pad + x.shape[0]]
+    return y[pad:pad + n]
 
 
 def save_filter_spec(path, spec):

@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import BAND_NM, csv_text
+from .dataio import BAND_NM, DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM, csv_text
 from .errors import DataError, ParameterError, ParseError
 
-DEFAULT_SENSITIVITY_NM_PER_INVM = 13.0
-DEFAULT_BASE_NM = 1535.3
 POLYLINE_STEP_MM = 0.1  # longest step of a reconstructed centerline
 MAX_TURNING_RAD = 2.0 * math.pi  # a continuum manipulator turns at most once
 

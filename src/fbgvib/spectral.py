@@ -19,14 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataio import csv_text
+from .dataio import DEFAULT_SHAPE_CUTOFF_HZ, csv_text
 from .errors import DataError, ParameterError
 from .filtering import _scipy_kernel
 
 WINDOWS = ("rectangular", "hann")
 
-#: Boundary between shape-band content and tool-excited content (Hz).
-DEFAULT_SHAPE_CUTOFF_HZ = 0.05
 #: Tool-driven spectral content of interest does not extend past this (Hz).
 DEFAULT_MAX_FREQ_HZ = 40.0
 #: Minimum peak prominence (nm); five times the simulator noise floor.

@@ -19,9 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import csv_text, parse_trace_csv
+from .dataio import DEFAULT_SHAPE_CUTOFF_HZ, csv_text, parse_trace_csv
 from .errors import DataError, ParameterError, SensingError
-from .spectral import DEFAULT_SHAPE_CUTOFF_HZ
 from .vib_model import frf_amplitude, simulate
 
 #: Leading share of each record dropped as the start-up transient.
@@ -201,14 +200,10 @@ _RPM_FILE = re.compile(r"rpm_([0-9]+(?:\.[0-9]+)?)\.csv$")
 def ingest_sweep_dir(directory, params):
     """Build a report from a directory of per-rate trace CSVs (rpm_<value>.csv)."""
     directory = Path(directory)
-    entries = []
-    for path in sorted(directory.iterdir()):
-        match = _RPM_FILE.match(path.name)
-        if match:
-            entries.append((float(match.group(1)), path))
+    matches = ((_RPM_FILE.match(path.name), path) for path in directory.iterdir())
+    entries = sorted((float(match.group(1)), path) for match, path in matches if match)
     if not entries:
         raise DataError(f"no rpm_<value>.csv files found in {directory}")
-    entries.sort()
     points = []
     for rpm, path in entries:
         if rpm <= 0:

@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dataio import AREAS, BAND_NM, CHUNK_ROWS, WavelengthTrace
+from .dataio import (AREAS, BAND_NM, CHUNK_ROWS, DEFAULT_BASE_NM,
+                     DEFAULT_SENSITIVITY_NM_PER_INVM, WavelengthTrace)
 from .errors import DataError, ParameterError, UndampedResonanceError
-from .shape import DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 
 #: Tool rotation range covered by the bench hardware (rev/min).
 RPM_MAX = 2400.0
@@ -283,16 +283,14 @@ def preset_scenario(name, duration_s=10.0, **overrides):
     if name not in SCENARIO_PRESETS:
         raise ParameterError(
             f"unknown preset {name!r}; expected one of {sorted(SCENARIO_PRESETS)}")
-    kwargs = dict(SCENARIO_PRESETS[name])
-    kwargs.update(overrides)
-    return Scenario(duration_s=duration_s, **kwargs)
+    return Scenario(duration_s=duration_s, **{**SCENARIO_PRESETS[name], **overrides})
 
 
 def simulate(scenario, params, seed=0):
     """Generate a wavelength trace for one scenario.
 
     Each channel is base wavelength + bend-induced shift (curvature times
-    the shape module's default sensitivity) + steady-state vibration at
+    the default calibration's sensitivity) + steady-state vibration at
     the tool rate and its modeled multiples (scaled up while the cables
     are slack) + white noise. Deterministic for a fixed (scenario, params,
     seed). The channels are the transpose of one (areas, n) block, so each

@@ -8,8 +8,10 @@ integrates the planar Frenet system with fixed-step RK4, the vibration oracle ti
 the equations of motion to steady state, the tone-fit oracle stacks its
 design from whole-array rows, the trace-file oracle walks
 the CSV one line at a time, the zero-phase oracles run the whole
-cascade forward and then backward, through scipy.signal or through a
-long-double recursion one sample at a time, and the simulation oracle
+cascade forward and then backward, through scipy.signal, through a
+long-double recursion one sample at a time, or through the compiled
+kernel over the whole padded record both ways, the detector oracle resets
+its accumulators with max(), and the simulation oracle
 assembles a trace as whole-array expressions with one noise draw.
 """
 
@@ -19,8 +21,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 from scipy.signal import sosfilt, sosfilt_zi
+from scipy.signal._sosfilt import _sosfilt
 
-from fbgvib import ParameterError, ParseError, WavelengthTrace
+from fbgvib import ParameterError, ParseError, StepEvent, WavelengthTrace
 from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
 from fbgvib.filtering import transient_samples
 from fbgvib.shape import BAND_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
@@ -303,6 +306,64 @@ def longdouble_zero_phase(spec, x):
             d = out
         y = (gain * level + d)[::-1]
     return np.asarray(y[pad:pad + x.shape[0]], dtype=float)
+
+
+def full_length_zero_phase(spec, x):
+    """The step-matched zero-phase cascade with both passes over the whole
+    padded record, the backward one through the reflected left edge too:
+    the reference that filtering.apply_zero_phase, which stops its backward
+    pass where the output ends, must equal bit for bit."""
+    x = np.asarray(x, dtype=float)
+    pad, y = _odd_reflect(spec, x)
+    sos = spec.sos.copy()
+    dc_gain = math.prod((b0 + b1 + b2) / (1.0 + a1 + a2)
+                        for b0, b1, b2, _, a1, a2 in sos.tolist())
+    d, f = np.empty((2, 1, y.shape[0]))
+    for _ in range(2):
+        np.subtract(y, y[0], out=d[0])
+        np.copyto(f, d)
+        _sosfilt(sos, f, np.zeros((1, sos.shape[0], 2)))
+        f -= d
+        f += (dc_gain - 1.0) * y[0]
+        y += f[0]
+        y = y[::-1]
+    return y[pad:pad + x.shape[0]]
+
+
+def max_cusum_detect_steps(x, threshold_nm, drift_nm, window_s, sample_rate_hz,
+                           t0=0.0, blocks_per_window=5):
+    """The events of events.detect_steps, from its block-mean CUSUM with
+    each accumulator reset by max(0.0, g)."""
+    window = max(int(round(window_s * sample_rate_hz)), blocks_per_window)
+    block = max(window // blocks_per_window, 1)
+    n_blocks = x.shape[0] // block
+    means = x[: n_blocks * block].reshape(n_blocks, block).mean(axis=1).tolist()
+    allowance = drift_nm / blocks_per_window
+    events = []
+    g_up = g_down = 0.0
+    start_up = start_down = 0
+    after = 0
+    for j in range(1, n_blocks):
+        d = 0.0 if j == after else means[j] - means[j - 1]
+        if g_up == 0.0:
+            start_up = j - 1
+        if g_down == 0.0:
+            start_down = j - 1
+        g_up = max(0.0, g_up + d - allowance)
+        g_down = max(0.0, g_down - d - allowance)
+        fired = None
+        if g_up >= threshold_nm:
+            fired = ("up", max(means[j:j + 2]) - means[start_up])
+        elif g_down >= threshold_nm:
+            fired = ("down", means[start_down] - min(means[j:j + 2]))
+        if fired is not None:
+            direction, magnitude = fired
+            index = (j + 1) * block - 1
+            events.append(StepEvent(index=index, time_s=t0 + index / sample_rate_hz,
+                                    magnitude_nm=magnitude, direction=direction))
+            g_up = g_down = 0.0
+            after = j + 1
+    return events
 
 
 def reference_simulate(scenario, params, seed=0):

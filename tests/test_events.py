@@ -7,6 +7,8 @@ from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
                     design_bandstop, apply_zero_phase, detect_steps, simulate)
 from fbgvib.events import events_csv_text
 
+from oracles import max_cusum_detect_steps
+
 FS = 1000.0
 
 
@@ -122,6 +124,24 @@ def test_events_in_time_order_and_above_threshold(x, threshold, drift_share, win
     assert indices == sorted(set(indices))
     assert [e.time_s for e in report.events] == [i / FS for i in indices]
     assert all(e.magnitude_nm >= threshold for e in report.events)
+
+
+def event_words(events):
+    return [(e.index, e.time_s.hex(), e.magnitude_nm.hex(), e.direction) for e in events]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=stepped_records(), threshold=st.floats(0.02, 1.0),
+       drift_share=st.floats(0.01, 0.99), window_s=st.floats(0.01, 2.0),
+       t0=st.sampled_from([0.0, 12.5, -3.0]))
+def test_matches_the_max_reset_detector_event_for_event(x, threshold, drift_share, window_s,
+                                                         t0):
+    # Each reset is a comparison, not max(0.0, g): the same float every time.
+    drift = drift_share * threshold
+    report = detect_steps(x, threshold_nm=threshold, drift_nm=drift, window_s=window_s,
+                          sample_rate_hz=FS, t0=t0)
+    assert event_words(report.events) == event_words(
+        max_cusum_detect_steps(x, threshold, drift, window_s, FS, t0))
 
 
 @settings(max_examples=100, deadline=None)

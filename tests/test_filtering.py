@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fbgvib import (DataError, FilterSpec, ParameterError, apply_zero_phase,
-                    design_bandstop, design_lowpass, save_filter_spec)
+                    design_bandstop, design_lowpass, filtering, save_filter_spec)
 
-from oracles import longdouble_zero_phase, sine_amplitude, sosfilt_zero_phase
+from oracles import (full_length_zero_phase, longdouble_zero_phase, sine_amplitude,
+                     sosfilt_zero_phase)
 
 FS = 1000.0
 
@@ -312,6 +313,42 @@ def test_matches_the_sosfilt_cascade(spec, data):
         # the bound itself (3e-6 nm at 0.05 Hz); the long-double one decides.
         ref = longdouble_zero_phase(spec, x)
     assert np.max(np.abs(got - ref)) <= tol
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=st.one_of(designs(), st.just(design_lowpass(0.05, 250.0))), data=st.data())
+def test_equals_the_full_length_passes_bit_for_bit(spec, data):
+    # The backward pass stops where the output ends; the sign of zero too.
+    shortest = 6 * len(spec.sos) + 1
+    short = max(shortest, filtering.transient_samples(spec) + 1)  # pad == n - 1 up to here
+    n = data.draw(st.one_of(st.integers(shortest, short), st.integers(shortest, 4000)))
+    columns = data.draw(st.integers(1, 3))
+    values = data.draw(arrays(float, (n, columns),
+                              elements=st.floats(-1.0, 1.0) | st.just(-0.0)))
+    if data.draw(st.booleans()):
+        values = values + 1535.0
+    x = values[:, data.draw(st.integers(0, columns - 1))]  # a strided column view
+    assert apply_zero_phase(spec, x).tobytes() == full_length_zero_phase(spec, x).tobytes()
+
+
+@pytest.mark.parametrize("spec", [design_bandstop(4.0, sample_rate_hz=FS),
+                                  design_lowpass(0.05, 250.0), identity_spec()],
+                         ids=["notch", "slow-lowpass", "identity"])
+def test_the_backward_pass_runs_only_to_the_output_end(monkeypatch, spec):
+    lengths = []
+    kernel = filtering._scipy_kernel("_sosfilt", "_sosfilt")
+
+    def recording(sos, x, zi):
+        lengths.append(x.shape[-1])
+        return kernel(sos, x, zi)
+
+    monkeypatch.setattr(filtering, "_scipy_kernel", lambda name, function: recording)
+    transient = filtering.transient_samples(spec)
+    for n in (6 * len(spec.sos) + 1, transient, transient + 1, transient + 2, 10000):
+        lengths.clear()
+        apply_zero_phase(spec, np.sin(np.arange(n) * 0.1))
+        pad = min(transient, n - 1)
+        assert lengths == [n + 2 * pad, n + pad]
 
 
 # --- shape extraction -------------------------------------------------------
