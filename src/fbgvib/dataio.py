@@ -525,7 +525,7 @@ def parse_trace_csv(path):
 
     # One stable sort by (fiber, area) keeps each series in time order.
     code = (fiber * len(AREAS) + aa).astype(np.uint8)
-    counts = [np.count_nonzero(code == c) for c in range(len(FIBERS) * len(AREAS))]
+    counts = np.bincount(code, minlength=len(FIBERS) * len(AREAS))
     ends = np.cumsum(counts)
     if max(counts) < code.shape[0]:  # rows of one series are in that order already
         order = np.argsort(code, kind="stable")

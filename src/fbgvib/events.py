@@ -34,13 +34,10 @@ class StepEvent:
 
 @dataclass(frozen=True)
 class EventReport:
-    """Detected level shifts plus an echo of the detector configuration."""
+    """Detected level shifts, each at least threshold_nm."""
 
     events: tuple
     threshold_nm: float
-    drift_nm: float
-    window_s: float
-    sample_rate_hz: float
 
     def __post_init__(self):
         times = [e.time_s for e in self.events]
@@ -113,9 +110,7 @@ def detect_steps(x, threshold_nm=DEFAULT_THRESHOLD_NM, drift_nm=DEFAULT_DRIFT_NM
                                 magnitude_nm=magnitude, direction=direction))
         g_up = g_down = 0.0
         after = j + 1
-    return EventReport(events=tuple(events), threshold_nm=threshold_nm,
-                       drift_nm=drift_nm, window_s=window_s,
-                       sample_rate_hz=sample_rate_hz)
+    return EventReport(events=tuple(events), threshold_nm=threshold_nm)
 
 
 def events_csv_text(report):

@@ -197,7 +197,9 @@ def _scipy_kernel(name, function):
     Running ``scipy/signal/__init__`` costs about a second per process; an
     extension module alone loads with top-level ``scipy`` in about 15 ms.
     It is registered under its own name, so a later ``import scipy.signal``
-    reuses it instead of loading the file a second time. Falls back to the
+    reuses it instead of loading the file a second time, but does not bind
+    it as an attribute of ``scipy.signal``: scipy's own ``from ._<name>
+    import`` works, ``scipy.signal.<name>`` does not. Falls back to the
     package import when the file is not found or fails to load.
     """
     key = "scipy.signal." + name

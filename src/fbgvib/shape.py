@@ -45,9 +45,8 @@ class CalibrationModel:
         return len(self.base_wavelengths_nm)
 
 
-def default_calibration(n_areas=3):
-    return CalibrationModel((DEFAULT_BASE_NM,) * n_areas,
-                            (DEFAULT_SENSITIVITY_NM_PER_INVM,) * n_areas)
+def default_calibration():
+    return CalibrationModel((DEFAULT_BASE_NM,) * 3, (DEFAULT_SENSITIVITY_NM_PER_INVM,) * 3)
 
 
 def wavelength_to_curvature(wavelengths_nm, calibration):
@@ -68,32 +67,21 @@ def wavelength_to_curvature(wavelengths_nm, calibration):
 
 @dataclass(frozen=True)
 class CmGeometry:
-    """Flexible-segment geometry of the manipulator (mm). The three active
-    areas sit at the quarter points of the length unless placed."""
+    """Flexible-segment length of the manipulator (mm). The three active
+    areas sit at its quarter points."""
 
     length_mm: float = 35.0
-    aa_positions_mm: tuple = None
 
     def __post_init__(self):
-        pos = self.aa_positions_mm
-        if pos is None:
-            pos = (0.25 * self.length_mm, 0.5 * self.length_mm, 0.75 * self.length_mm)
-        pos = tuple(float(p) for p in pos)
         if not (math.isfinite(self.length_mm) and self.length_mm > 0):
             raise ParameterError("length_mm must be finite and positive")
-        if not pos or any(not math.isfinite(p) or p <= 0 for p in pos) or any(
-                b <= a for a, b in zip(pos, pos[1:])) or pos[-1] > self.length_mm:
-            raise ParameterError(
-                "active-area positions must be strictly increasing in (0, length_mm]")
-        object.__setattr__(self, "aa_positions_mm", pos)
 
     def segment_lengths_mm(self):
         """Segment boundaries sit midway between adjacent active areas."""
-        pos = self.aa_positions_mm
-        bounds = [0.0]
-        bounds += [0.5 * (a + b) for a, b in zip(pos, pos[1:])]
-        bounds.append(self.length_mm)
-        return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        length = self.length_mm
+        a, b, c = 0.25 * length, 0.5 * length, 0.75 * length
+        bounds = (0.0, 0.5 * (a + b), 0.5 * (b + c), length)
+        return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _arc_step(x, z, theta, curvature_inv_mm, ds_mm):
@@ -110,7 +98,6 @@ def _arc_step(x, z, theta, curvature_inv_mm, ds_mm):
 class ShapeEstimate:
     """Planar reconstruction: x is lateral deflection, z is along the axis."""
 
-    curvatures_inv_m: tuple
     centerline_mm: np.ndarray  # columns (s_mm, x_mm, z_mm)
     tip_mm: tuple  # (x_mm, z_mm)
 
@@ -139,9 +126,7 @@ def reconstruct(curvatures_inv_m, geometry=CmGeometry()):
             x, z, theta = _arc_step(x, z, theta, k, ds)
             s += ds
             rows.append((s, x, z))
-    centerline = np.array(rows)
-    return ShapeEstimate(curvatures_inv_m=tuple(float(k) for k in kappa),
-                         centerline_mm=centerline, tip_mm=tip)
+    return ShapeEstimate(centerline_mm=np.array(rows), tip_mm=tip)
 
 
 def tips_for_curvatures(curvature_rows_inv_m, geometry=CmGeometry()):

@@ -26,7 +26,8 @@ RPM_MAX = 2400.0
 #: resonances at the 240 rev/min operating point.
 DEFAULT_PLATEAU_NM = 0.045
 
-DEFAULT_UNBALANCE_ME = 1.0e-6  # kg*m
+#: Tool unbalance (kg*m); default_params' gain2 cancels it from the output.
+UNBALANCE_ME = 1.0e-6
 
 #: Most samples one scenario may hold over all its areas, checked before
 #: anything is allocated: simulate holds a few arrays of this many doubles
@@ -50,7 +51,6 @@ class TwoDofParams:
     k2: float
     c1: float = 0.0
     c2: float = 0.0
-    unbalance_me: float = DEFAULT_UNBALANCE_ME
     gain2: float = 1.0
 
     def __post_init__(self):
@@ -81,7 +81,7 @@ def frf_response(params, forcing_hz):
     """Complex steady-state displacement of both coordinates (m).
 
     Solves (K - w^2 M + j w C) X = F for unbalance forcing
-    F = unbalance_me * w^2 applied to mass 1.
+    F = UNBALANCE_ME * w^2 applied to mass 1.
     """
     w = 2.0 * np.pi * float(forcing_hz)
     if forcing_hz < 0:
@@ -92,7 +92,7 @@ def frf_response(params, forcing_hz):
     a12 = -params.k2
     a22 = params.k2 - w * w * params.m2 + 1j * w * params.c2
     det = a11 * a22 - a12 * a12
-    f1 = params.unbalance_me * w * w
+    f1 = UNBALANCE_ME * w * w
     scale = max(abs(a11), abs(a22), abs(a12)) ** 2
     if abs(det) <= 1e-12 * scale:
         raise UndampedResonanceError(

@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: the transform
 oracle evaluates the defining sum directly, the peak oracle walks to each
 maximum's valleys one sample at a time, the resonance oracle brackets and
 refines the model's response with scipy.optimize, the shape oracle
-integrates the planar Frenet system with fixed-step RK4, the vibration oracle time-steps
+integrates the planar Frenet system with fixed-step RK4, the geometry oracle
+splits a length at midpoints between listed area positions, the vibration oracle time-steps
 the equations of motion to steady state, the tone-fit oracle stacks its
 design from whole-array rows, the trace-file oracle walks
 the CSV one line at a time, the zero-phase oracles run the whole
@@ -28,7 +29,7 @@ from fbgvib.dataio import FALLBACK_SAMPLE_RATE_HZ, RATE_TOLERANCE, TRACE_HEADER
 from fbgvib.filtering import transient_samples
 from fbgvib.shape import BAND_NM, DEFAULT_SENSITIVITY_NM_PER_INVM
 from fbgvib.spectral import SpectralPeak
-from fbgvib.vib_model import bend_curvature, output_response
+from fbgvib.vib_model import UNBALANCE_ME, bend_curvature, output_response
 
 
 def naive_dft(x):
@@ -123,6 +124,16 @@ def rk4_frenet_tips(curvature_rows_inv_m, segment_lengths_mm, total_steps=10000)
     return np.column_stack((x, z))
 
 
+def quarter_point_segment_lengths(length_mm):
+    """Segment lengths (mm) with the active areas listed at the quarter
+    points and each boundary midway between two listed areas."""
+    pos = tuple(float(p) for p in (0.25 * length_mm, 0.5 * length_mm, 0.75 * length_mm))
+    bounds = [0.0]
+    bounds += [0.5 * (a + b) for a, b in zip(pos, pos[1:])]
+    bounds.append(length_mm)
+    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
 def ode_steady_amplitudes(params, forcing_hz, settle_s=110.0, cycles=2):
     """Half peak-to-peak steady displacement of both coordinates (m).
 
@@ -132,7 +143,7 @@ def ode_steady_amplitudes(params, forcing_hz, settle_s=110.0, cycles=2):
     m1, m2 = params.m1, params.m2
     k1, k2 = params.k1, params.k2
     c1, c2 = params.c1, params.c2
-    me = params.unbalance_me
+    me = UNBALANCE_ME
     w = 2.0 * np.pi * forcing_hz
 
     def rhs(t, y):

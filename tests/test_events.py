@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
+from fbgvib import (BendProfile, DataError, EventReport, ParameterError, Scenario, StepEvent,
                     design_bandstop, apply_zero_phase, detect_steps, simulate)
 from fbgvib.events import events_csv_text
 
@@ -27,6 +27,16 @@ def test_nan_sample_cannot_hide_a_step():
     x[2550] = np.nan
     with pytest.raises(DataError, match="sample 2550"):
         detect_steps(x)
+
+
+def test_report_refuses_events_out_of_time_order_or_below_threshold():
+    first = StepEvent(index=99, time_s=0.1, magnitude_nm=0.3, direction="up")
+    second = StepEvent(index=199, time_s=0.2, magnitude_nm=0.25, direction="down")
+    assert EventReport(events=[first, second], threshold_nm=0.25).events == (first, second)
+    with pytest.raises(DataError, match="ordered by time"):
+        EventReport(events=(second, first), threshold_nm=0.25)
+    with pytest.raises(DataError, match="threshold"):
+        EventReport(events=(first, second), threshold_nm=0.26)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fbgvib import (CalibrationModel, CmGeometry, DataError, ParameterError, ParseError,
                     default_calibration, load_calibration, reconstruct,
                     tips_for_curvatures, wavelength_to_curvature)
-from fbgvib.shape import _arc_step, shape_csv_text
+from fbgvib.shape import POLYLINE_STEP_MM, _arc_step, shape_csv_text
 
-from oracles import rk4_frenet_tips
+from oracles import quarter_point_segment_lengths, rk4_frenet_tips
 
 L = 35.0
 
@@ -70,29 +74,31 @@ def test_round_trip_through_calibration():
 
 # --- geometry ---------------------------------------------------------------
 
-def test_geometry_validation():
-    with pytest.raises(ParameterError):
-        CmGeometry(aa_positions_mm=(10.0, 5.0, 20.0))
-
-
-@pytest.mark.parametrize("geometry", [
-    dict(length_mm=np.nan), dict(length_mm=np.inf),
-    dict(aa_positions_mm=(np.nan, 17.5, 26.25)),
-    dict(aa_positions_mm=(8.75, 17.5, np.nan)),
-    dict(length_mm=np.inf, aa_positions_mm=(8.75, 17.5, np.inf)),
-], ids=["nan-length", "inf-length", "nan-first-area", "nan-last-area", "inf-area"])
-def test_non_finite_geometry_rejected(geometry):
-    with pytest.raises(ParameterError, match="finite|strictly increasing"):
-        CmGeometry(**geometry)
+@pytest.mark.parametrize("length", [np.nan, np.inf], ids=["nan-length", "inf-length"])
+def test_non_finite_geometry_rejected(length):
+    with pytest.raises(ParameterError, match="finite"):
+        CmGeometry(length)
 
 
 @pytest.mark.parametrize("length", [1e308, 1.7e308])
 def test_a_length_whose_step_count_overflows_is_refused(length, recwarn):
     # 1.7e308: the midpoint between the last two areas overflows as well.
-    geometry = CmGeometry(length, (0.25 * length, 0.5 * length, 0.75 * length))
     with pytest.raises(ParameterError, match="overflows"):
-        reconstruct([0.0, 0.0, 0.0], geometry)
+        reconstruct([0.0, 0.0, 0.0], CmGeometry(length))
     assert not recwarn.list
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1.7e308))
+@example(1e308)
+@example(1.7e308)
+def test_segments_are_the_quarter_point_midpoints_to_the_bit(length):
+    oracle = quarter_point_segment_lengths(length)
+    geometry = CmGeometry(length)
+    assert [v.hex() for v in geometry.segment_lengths_mm()] == [v.hex() for v in oracle]
+    if not all(math.isfinite(ell / POLYLINE_STEP_MM) for ell in oracle):
+        with pytest.raises(ParameterError, match="overflows"):
+            reconstruct([0.0, 0.0, 0.0], geometry)
 
 
 def test_segment_boundaries_at_midpoints():
@@ -203,7 +209,7 @@ def test_tip_is_one_arc_step_per_segment_to_the_bit():
     for _ in range(50):
         kappa = 10.0 ** rng.uniform(-6, 2, 3) * rng.choice([-1.0, 0.0, 1.0], 3)
         length = rng.uniform(5.0, 80.0)
-        geometry = CmGeometry(length, (0.25 * length, 0.5 * length, 0.75 * length))
+        geometry = CmGeometry(length)
         x = z = theta = 0.0
         for k, ell in zip(kappa / 1000.0, geometry.segment_lengths_mm()):
             x, z, theta = _arc_step(x, z, theta, k, ell)
