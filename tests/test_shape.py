@@ -74,7 +74,19 @@ def test_round_trip_through_calibration():
 
 # --- geometry ---------------------------------------------------------------
 
-@pytest.mark.parametrize("length", [np.nan, np.inf], ids=["nan-length", "inf-length"])
+def test_geometry_validation():
+    for length in (0.0, -0.0, -35.0):
+        with pytest.raises(ParameterError, match="positive"):
+            CmGeometry(length)
+    # The smallest positive double is a length: its quarter points may
+    # collapse, but the segments still sum to it and the tip stays put.
+    geometry = CmGeometry(5e-324)
+    assert sum(geometry.segment_lengths_mm()) == 5e-324
+    assert reconstruct([1.0, 2.0, 3.0], geometry).tip_mm == (0.0, 5e-324)
+
+
+@pytest.mark.parametrize("length", [np.nan, np.inf, -np.inf],
+                         ids=["nan-length", "inf-length", "neg-inf-length"])
 def test_non_finite_geometry_rejected(length):
     with pytest.raises(ParameterError, match="finite"):
         CmGeometry(length)
