@@ -188,44 +188,41 @@ def _cmd_detect(args):
 
 
 def _cmd_sweep(args):
-    params = fbgvib.vib_model.default_params(**args.model)
+    params, sweep = fbgvib.vib_model.default_params(**args.model), fbgvib.sweep
     if args.from_dir:
         # The files set the rpm grid; a grid option would be ignored.
         grid = [flag for flag, value, default in (
             ("--preset", args.preset, None), ("--rpm-min", args.rpm_min, None),
-            ("--rpm-max", args.rpm_max, None), ("--points", args.points, PAPER_POINTS))
+            ("--rpm-max", args.rpm_max, None), ("--points", args.points, sweep.PAPER_POINTS))
             if value != default]
         if grid:
             raise ParameterError(f"--from-dir takes its rpm grid from the files; "
                                  f"drop {', '.join(grid)}")
-        report = fbgvib.sweep.ingest_sweep_dir(args.from_dir, params)
+        report = sweep.ingest_sweep_dir(args.from_dir, params)
     else:
         if args.preset == "paper" and (args.points, args.rpm_min, args.rpm_max) != (
-                PAPER_POINTS, None, None):
-            raise ParameterError(f"--preset paper is the default {PAPER_POINTS}-point grid; "
+                sweep.PAPER_POINTS, None, None):
+            raise ParameterError(f"--preset paper is the default {sweep.PAPER_POINTS}-point grid; "
                                  f"drop --points, --rpm-min and --rpm-max or the preset")
-        if args.points < fbgvib.sweep.MIN_POINTS:
-            raise ParameterError(f"--points must be at least {fbgvib.sweep.MIN_POINTS}")
+        if args.points < sweep.MIN_POINTS:
+            raise ParameterError(f"--points must be at least {sweep.MIN_POINTS}")
         if args.rpm_min is None and args.rpm_max is None:
-            rpms = fbgvib.sweep.default_rpm_grid(n_points=args.points)
+            rpms = sweep.default_rpm_grid(n_points=args.points)
         else:
             if args.rpm_min is None or args.rpm_max is None:
                 raise ParameterError("--rpm-min and --rpm-max go together")
-            rpms = fbgvib.sweep.default_rpm_grid(args.rpm_min, args.rpm_max, args.points)
+            rpms = sweep.default_rpm_grid(args.rpm_min, args.rpm_max, args.points)
         template = fbgvib.vib_model.Scenario(
             rpm=rpms[0], duration_s=args.duration_s, sample_rate_hz=args.sample_rate_hz,
             noise_sigma_nm=args.noise_sigma_nm)
-        report = fbgvib.sweep.run_sweep(rpms, template, params, seed=args.seed)
-    dataio.atomic_write_text(args.out, fbgvib.sweep.report_csv_text(report))
-    text = fbgvib.sweep.summary_text(report)
+        report = sweep.run_sweep(rpms, template, params, seed=args.seed)
+    dataio.atomic_write_text(args.out, sweep.report_csv_text(report))
+    text = sweep.summary_text(report)
     if args.summary:
         dataio.atomic_write_text(args.summary, text)
     print(text, end="")
     return 0
 
-
-#: Grid size of ``sweep --preset paper`` and the default of ``--points``.
-PAPER_POINTS = 40
 
 #: Config keys of the vibration model, which has no flags.
 MODEL_KEYS = ("natural_f1_hz", "natural_f2_hz", "mass_ratio", "damping_ratio")
@@ -316,11 +313,12 @@ def build_parser(config=None, command=None):
         p.set_defaults(func=_cmd_detect)
 
     if p := add("sweep", "amplitude vs rpm and resonances"):
+        paper = fbgvib.sweep.PAPER_POINTS
         setting(p, "--seed", "seed", 0, type=int)
-        p.add_argument("--preset", choices=("paper",), help="'paper' = 40-point log grid")
+        p.add_argument("--preset", choices=("paper",), help=f"'paper' = {paper}-point log grid")
         p.add_argument("--rpm-min", type=_finite_float, default=None)
         p.add_argument("--rpm-max", type=_finite_float, default=None)
-        p.add_argument("--points", type=int, default=PAPER_POINTS)
+        p.add_argument("--points", type=int, default=paper)
         setting(p, "--duration", "duration_s", 10.0)
         setting(p, "--sample-rate", "sample_rate_hz", 1000.0)
         setting(p, "--noise", "noise_sigma_nm", 0.0)

@@ -12,7 +12,6 @@ import io
 import math
 import os
 import re
-import string
 import tempfile
 from dataclasses import dataclass
 
@@ -103,35 +102,25 @@ _MAX_DECIMALS = 15
 _POW10 = np.array([10.0 ** k for k in range(23)])
 
 
-def _fixed_template(row_format, n_columns):
-    """``[(literal, column, N, kind)]`` when every field is ``{:.Nf}`` or ``{:.Ng}``, else None.
+#: The one field form the array writer prints: ``{[column]:.N(f|g)}``.
+_FIELD = re.compile(r"\{([0-9]*):\.([0-9]+)([fg])\}")
 
-    The last entry's column is None when the template ends in literal text.
-    """
-    try:
-        parsed = list(string.Formatter().parse(row_format))
-    except ValueError:
+
+def _fixed_template(row_format, n_columns):
+    """``[(literal, column, N, kind)]`` when every field is a _FIELD, all
+    numbered or none, between ASCII text without braces or NUL bytes, else
+    None. The last entry is the text after the last field, column None."""
+    parts = _FIELD.split(row_format)  # literal, column, N, kind, ..., literal
+    literals, names = parts[::4], parts[1::4]
+    text = "".join(literals)
+    if not text.isascii() or any(c in text for c in "{}\0") or len({*map(bool, names)}) > 1:
         return None
-    pieces, auto, manual = [], 0, False
-    for literal, name, spec, conversion in parsed:
-        if "\0" in literal or not literal.isascii():
-            return None
-        if name is None:
-            pieces.append((literal, None, 0, "f"))
-            continue
-        match = re.fullmatch(r"\.([0-9]+)([fg])", spec)
-        if conversion or not match or not (match[2] == "g") <= int(match[1]) <= _MAX_DECIMALS:
-            return None
-        if name == "":
-            column, auto = auto, auto + 1
-        elif name.isascii() and name.isdigit():
-            column, manual = int(name), True
-        else:
-            return None
-        if column >= n_columns or (auto and manual):
-            return None
-        pieces.append((literal, column, int(match[1]), match[2]))
-    return pieces
+    pieces = [(literal, int(name) if name else i, int(n), kind) for i, (literal, name, n, kind)
+              in enumerate(zip(literals, names, parts[2::4], parts[3::4]))]
+    if any(column >= n_columns or not (kind == "g") <= n <= _MAX_DECIMALS
+           for _, column, n, kind in pieces):
+        return None
+    return pieces + [(literals[-1], None, 0, "f")]
 
 
 def _scaled_integers(x, decimals):
@@ -400,21 +389,19 @@ _BLOCK_BYTES = 1 << 16  # bytes of a run read per step
 
 
 def _line_runs(data, start):
-    """``[(offset, lines, width)]``: data[start:] cut into runs of
-    consecutive lines of equal length, or None when the last line has no
-    newline or there are more than _MAX_RUNS runs."""
+    """``[(offset, lines, width)]``: data[start:], which ends in a newline,
+    cut into runs of consecutive lines of equal length, or None when there
+    are more than _MAX_RUNS runs."""
     buf = np.frombuffer(data, np.uint8)
     runs = []
-    while start < len(data):
+    while start < len(data) and len(runs) < _MAX_RUNS:
         end = data.find(b"\n", start)
-        if end < 0 or len(runs) == _MAX_RUNS:
-            return None
         width = end + 1 - start
         ends = buf[end::width] == ord("\n")
         lines = ends.size if ends.all() else int(ends.argmin())
         runs.append((start, lines, width))
         start += lines * width
-    return runs
+    return None if start < len(data) else runs
 
 
 def _fixed_columns(data, start):
@@ -512,6 +499,8 @@ def parse_trace_csv(path):
         data = fh.read()
     if b"\r" in data and b"\r" not in (lf := data.replace(b"\r\n", b"\n")):
         data = lf  # CRLF lines read as LF; a lone CR is left to the line walk
+    if data and (not data.endswith(b"\n") or data.endswith(b"\n\n")):
+        data = data.rstrip(b"\n") + b"\n"  # one newline ends the last line
     header = TRACE_HEADER.encode() + b"\n"
     fixed = _fixed_columns(data, len(header)) if data.startswith(header) else None
     columns = fixed or _scan_rows(data)  # the line walk names a bad line itself

@@ -21,7 +21,7 @@ import numpy as np
 
 from .dataio import DEFAULT_SHAPE_CUTOFF_HZ, csv_text, parse_trace_csv
 from .errors import DataError, ParameterError, SensingError
-from .vib_model import frf_amplitude, simulate
+from .vib_model import RPM_MAX, frf_amplitude, simulate
 
 #: Leading share of each record dropped as the start-up transient.
 DEFAULT_DISCARD_FRACTION = 0.2
@@ -33,6 +33,8 @@ AVOID_BAND_RATIO = 0.5
 
 #: Fewest rpm points a sweep takes.
 MIN_POINTS = 10
+#: Points of the paper's grid: ``sweep --preset paper`` and the default of ``--points``.
+PAPER_POINTS = 40
 
 #: Read with DEFAULT_SHAPE_CUTOFF_HZ by perfbench's write_sweep_file; no sweep uses either.
 SETTLE_TIME_CONSTANTS = 8.0
@@ -77,7 +79,6 @@ class ResonanceReport:
     """Sweep points plus detected resonances and bands to avoid."""
 
     points: tuple  # (rpm, amplitude_nm), sorted by rpm
-    natural_frequencies_hz: tuple
     peak_rpms: tuple
     avoid_bands_rpm: tuple  # (low, high) per detected peak
     attribution: tuple  # per peak: sensor- or manipulator-dominant
@@ -91,6 +92,10 @@ class ResonanceReport:
         for rpm, (lo, hi) in zip(self.peak_rpms, self.avoid_bands_rpm):
             if not (lo <= rpm <= hi):
                 raise DataError("each avoid band must contain its peak rpm")
+
+    @property
+    def natural_frequencies_hz(self):
+        return tuple(rpm / 60.0 for rpm in self.peak_rpms)
 
 
 def _roots_within(coef, lo, hi):
@@ -152,13 +157,12 @@ def analyze_sweep_points(points, params):
     tags = [SENSOR_DOMINANT if x2 > x1 else MANIPULATOR_DOMINANT
             for x1, x2 in (frf_amplitude(params, rpm / 60.0) for rpm, _ in resonances)]
     return ResonanceReport(points=tuple((float(r), float(a)) for r, a in points),
-                           natural_frequencies_hz=tuple(rpm / 60.0 for rpm, _ in resonances),
                            peak_rpms=tuple(rpm for rpm, _ in resonances),
                            avoid_bands_rpm=tuple(band for _, band in resonances),
                            attribution=tuple(tags))
 
 
-def default_rpm_grid(low=10.0, high=2400.0, n_points=40):
+def default_rpm_grid(low=10.0, high=RPM_MAX, n_points=PAPER_POINTS):
     if not (low > 0 and high > 0):
         raise ParameterError(f"rpm grid bounds must be positive, got {low} and {high}")
     return tuple(float(r) for r in np.geomspace(low, high, n_points))

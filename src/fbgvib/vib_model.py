@@ -11,7 +11,7 @@ the tool rate and its weak integer multiples, and interrogator noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,7 +155,7 @@ def default_params(natural_f1_hz=0.4, natural_f2_hz=16.0, mass_ratio=0.1,
     return replace(p, gain2=DEFAULT_PLATEAU_NM / abs(x2))
 
 
-BEND_PHASES = ("hold", "pull", "release")
+BEND_PHASES = {"hold": 0.0, "pull": 1.0, "release": -1.0}  # direction of cable travel
 
 
 @dataclass(frozen=True)
@@ -172,6 +172,8 @@ class BendProfile:
     curvature_gain: float = 1.0 / 75.0  # (1/m) of curvature per mm of cable
     slack_amplitude_scale: float = 4.0
     slack_threshold_mm: float = 0.5
+    #: (times s, displacements mm) at the phase ends, from the one walk of __post_init__.
+    knots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.cable_speed_mm_s) and self.cable_speed_mm_s > 0):
@@ -182,32 +184,26 @@ class BendProfile:
             raise ParameterError("slack_amplitude_scale must exceed 1")
         if not (np.isfinite(self.slack_threshold_mm) and self.slack_threshold_mm > 0):
             raise ParameterError("slack_threshold_mm must be positive")
-        disp = 0.0
+        segments, times, disps, disp = [], [0.0], [0.0], 0.0
         for kind, duration in self.segments:
-            if kind not in BEND_PHASES:
+            if not isinstance(kind, str) or kind not in BEND_PHASES:  # unhashable: not TypeError
                 raise ParameterError(f"unknown bend phase {kind!r}")
             if not (np.isfinite(duration) and duration > 0):
                 raise ParameterError("phase durations must be finite and positive")
-            if kind == "pull":
-                disp += self.cable_speed_mm_s * duration
-            elif kind == "release":
-                disp -= self.cable_speed_mm_s * duration
-                if disp < -1e-12:
-                    raise ParameterError("release would drive cable displacement negative")
-        object.__setattr__(self, "segments", tuple((k, float(d)) for k, d in self.segments))
+            duration = float(duration)
+            move = BEND_PHASES[kind] * self.cable_speed_mm_s * duration
+            disp += move
+            if disp < -1e-12:
+                raise ParameterError("release would drive cable displacement negative")
+            segments.append((kind, duration))
+            times.append(times[-1] + duration)
+            disps.append(max(0.0, disps[-1] + move))
+        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "knots", (np.array(times), np.array(disps)))
 
     @property
     def total_duration_s(self):
-        return sum(d for _, d in self.segments)
-
-    def _knots(self):
-        times = [0.0]
-        disps = [0.0]
-        for kind, duration in self.segments:
-            step = {"pull": 1.0, "release": -1.0, "hold": 0.0}[kind]
-            times.append(times[-1] + duration)
-            disps.append(max(0.0, disps[-1] + step * self.cable_speed_mm_s * duration))
-        return np.array(times), np.array(disps)
+        return float(self.knots[0][-1])
 
 
 def bend_curvature(profile, t):
@@ -220,8 +216,7 @@ def bend_curvature(profile, t):
     total = profile.total_duration_s
     if np.any(t_arr < 0) or np.any(t_arr > total + 1e-12):
         raise DataError(f"t outside the profile duration [0, {total}] s")
-    times, disps = profile._knots()
-    displacement = np.interp(t_arr, times, disps)
+    displacement = np.interp(t_arr, *profile.knots)
     curvature = profile.curvature_gain * displacement
     if np.isscalar(t) or t_arr.ndim == 0:
         return float(curvature), float(displacement)

@@ -6,7 +6,9 @@ maximum's valleys one sample at a time, the resonance oracle brackets and
 refines the model's response with scipy.optimize, the shape oracle
 integrates the planar Frenet system with fixed-step RK4, the geometry oracle
 splits a length at midpoints between listed area positions, the vibration oracle time-steps
-the equations of motion to steady state, the tone-fit oracle stacks its
+the equations of motion to steady state, the bend oracle walks the cable
+displacement twice, once unclipped to refuse and once clipped for the
+knots, the tone-fit oracle stacks its
 design from whole-array rows, the trace-file oracle walks
 the CSV one line at a time, the zero-phase oracles run the whole
 cascade forward and then backward, through scipy.signal, through a
@@ -132,6 +134,27 @@ def quarter_point_segment_lengths(length_mm):
     bounds += [0.5 * (a + b) for a, b in zip(pos, pos[1:])]
     bounds.append(length_mm)
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def two_walk_bend_knots(segments, cable_speed_mm_s):
+    """(times, displacements) a bend profile interpolates, as two walks: the
+    running sum of pulls less releases refuses a release that takes it below
+    -1e-12 (ParameterError), then the knots add each phase clipped at zero."""
+    disp = 0.0
+    for kind, duration in segments:
+        if kind == "pull":
+            disp += cable_speed_mm_s * duration
+        elif kind == "release":
+            disp -= cable_speed_mm_s * duration
+            if disp < -1e-12:
+                raise ParameterError("release would drive cable displacement negative")
+    times = [0.0]
+    disps = [0.0]
+    for kind, duration in segments:
+        step = {"pull": 1.0, "release": -1.0, "hold": 0.0}[kind]
+        times.append(times[-1] + duration)
+        disps.append(max(0.0, disps[-1] + step * cable_speed_mm_s * duration))
+    return np.array(times), np.array(disps)
 
 
 def ode_steady_amplitudes(params, forcing_hz, settle_s=110.0, cycles=2):

@@ -6,8 +6,9 @@ import pytest
 
 from fbgvib import (DataError, ParameterError, ParseError, Scenario, WavelengthTrace, dataio,
                     simulate)
-from fbgvib.dataio import (CONFIG_KEYS, atomic_write_text, csv_text, parse_config,
-                           parse_trace_csv, tips_csv_text, trace_csv_text, write_trace_csv)
+from fbgvib.dataio import (CONFIG_KEYS, TRACE_HEADER, atomic_write_text, csv_text,
+                           parse_config, parse_trace_csv, tips_csv_text, trace_csv_text,
+                           write_trace_csv)
 
 
 def test_minimal_single_instant_file(tmp_path):
@@ -77,10 +78,14 @@ def test_bad_header_rejected(tmp_path):
         parse_trace_csv(path)
 
 
-def test_empty_file_rejected(tmp_path):
+@pytest.mark.parametrize("text,message", [
+    ("", "line 1: empty file"), ("\n\n", "line 1: expected header"),
+    (TRACE_HEADER, "line 2: file holds no samples"),
+    (TRACE_HEADER + "\n\n\n", "line 2: file holds no samples")])
+def test_empty_file_rejected(tmp_path, text, message):
     path = tmp_path / "t.csv"
-    path.write_text("")
-    with pytest.raises(ParseError):
+    path.write_text(text)
+    with pytest.raises(ParseError, match=f"^{message}"):
         parse_trace_csv(path)
 
 

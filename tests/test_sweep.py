@@ -23,6 +23,24 @@ def report(params):
     return run_sweep(default_rpm_grid(), template, params, seed=0)
 
 
+def test_the_paper_grid_has_one_owner():
+    from fbgvib import cli, vib_model
+    assert (sweep.PAPER_POINTS, vib_model.RPM_MAX) == (40, 2400.0)
+    assert default_rpm_grid() == tuple(np.geomspace(10.0, 2400.0, 40).tolist())
+    args = cli.build_parser(command="sweep").parse_args(["sweep", "--out", "x.csv"])
+    assert args.points == sweep.PAPER_POINTS
+
+
+def test_natural_frequencies_are_the_peak_rpms_over_60(report):
+    assert len(report.peak_rpms) == 2
+    assert report.natural_frequencies_hz == tuple(rpm / 60.0 for rpm in report.peak_rpms)
+    fields = dict(points=report.points, peak_rpms=report.peak_rpms,
+                  avoid_bands_rpm=report.avoid_bands_rpm, attribution=report.attribution)
+    assert sweep.ResonanceReport(**fields) == report
+    with pytest.raises(TypeError):
+        sweep.ResonanceReport(**fields, natural_frequencies_hz=(1.0, 2.0))
+
+
 # --- steady amplitude --------------------------------------------------------
 
 def test_pure_sinusoid_amplitude():

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -145,14 +145,17 @@ def test_what_the_writer_accepts_reads_back_to_the_same_bytes(tmp_path, traces):
 
 
 @FILE_SETTINGS
-@given(traces=trace_sets())
-def test_writer_output_never_takes_the_line_walk(tmp_path, traces, monkeypatch):
+@given(traces=trace_sets(), ending=st.sampled_from(["\n", "", "\n\n", "\n\n\n", "\r\n\r\n"]))
+def test_writer_output_never_takes_the_line_walk(tmp_path, traces, ending, monkeypatch):
+    # Also without the last newline, or with blank lines after the last row.
     def line_walk(path):
         raise AssertionError("the writer's layout reached _scan_rows")
     monkeypatch.setattr(dataio, "_scan_rows", line_walk)
     path = tmp_path / "t.csv"
-    write_trace_csv(path, traces)
-    assert trace_csv_text(parse_trace_csv(path)) == path.read_text()
+    text = trace_csv_text(traces)
+    lines = text[:-1].split("\n")
+    path.write_bytes((("\r\n" if "\r" in ending else "\n").join(lines) + ending).encode())
+    assert trace_csv_text(parse_trace_csv(path)) == text
 
 
 @FILE_SETTINGS
@@ -574,6 +577,37 @@ def test_other_templates_format_like_str_format(template):
     expected = "".join(["h\n"] + [template.format(*row) for row in
                                   zip(*(c.tolist() for c in columns))])
     assert csv_text("h", template, columns) == expected
+
+
+#: Template pieces: fields of the array writer's form (some out of its
+#: range), text it prints, and fields and text only str.format takes or refuses.
+TEMPLATE_PIECES = st.one_of(
+    st.sampled_from(["{:.6f}", "{0:.9f}", "{1:.3g}", "{:.3g}", "{:.0g}", "{:.16f}", "{2:.1f}",
+                     "{00:.2f}", "{:.015g}"]),
+    st.sampled_from([",", ":", "\n", "x"]),
+    st.sampled_from(["{!r:.3f}", "{:>9.2f}", "{:.3e}", "{0}", "{}", "{{", "}}", "{", "}", "é",
+                     "\0"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(template=st.lists(TEMPLATE_PIECES, max_size=6).map("".join), n_rows=st.integers(0, 3),
+       small=st.booleans())
+@example(template="{:.6f},{0:.9f}\n", n_rows=1, small=False)
+@example(template="{:.0g}\n", n_rows=1, small=True)
+@example(template="{0:.16f},{1:.0g}\n", n_rows=3, small=True)
+def test_csv_text_formats_any_template_as_str_format_does(template, n_rows, small):
+    # Small values take the e-notation array path of "{:.Ng}" too.
+    values = ([3e-7, -1.5e-9, 2.5e-12, 7e-6, -9.99e-5, 1e-20] if small
+              else [0.125, -2.5, 1535.3, -0.0, 3e-7, 12345678950.0])
+    columns = [np.array(values[:n_rows]), np.array(values[::-1][:n_rows])]
+    try:
+        expected = "".join(["h\n"] + [template.format(*row) for row in
+                                      zip(*(c.tolist() for c in columns))])
+    except Exception as exc:  # the same type and message
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            csv_text("h", template, columns)
+    else:
+        assert csv_text("h", template, columns) == expected
 
 
 @pytest.mark.parametrize("byte", [None, "/", ":", "-", "x", " "])

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from fbgvib import (BendProfile, DataError, ParameterError, Scenario,
                     preset_scenario, simulate)
 from fbgvib.dataio import CHUNK_ROWS
 
-from oracles import ode_steady_amplitudes, reference_simulate
+from oracles import ode_steady_amplitudes, reference_simulate, two_walk_bend_knots
 
 
 # --- parameter validation -------------------------------------------------
@@ -141,11 +142,79 @@ def test_non_finite_bend_value_rejected(field, value):
         BendProfile(**{field: value})
 
 
+@pytest.mark.parametrize("kind", ["twist", "Pull", ["pull"], None, 1])
+def test_unknown_bend_phase_rejected(kind):
+    with pytest.raises(ParameterError, match="unknown bend phase"):
+        BendProfile(segments=(("pull", 1.0), (kind, 1.0)))
+
+
 def test_hold_keeps_displacement():
     profile = BendProfile(segments=(("pull", 10.0), ("hold", 5.0), ("release", 10.0)))
     _, d1 = bend_curvature(profile, 10.0)
     _, d2 = bend_curvature(profile, 15.0)
     assert d1 == d2 == pytest.approx(1.0)
+
+
+def _ulps(x, k):
+    """x moved k ulps up (k < 0: down)."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, np.inf if k > 0 else -np.inf))
+    return x
+
+
+def _bend_outcome(build):
+    """The knots ``build`` gives as exact bytes, or the refusal's message."""
+    try:
+        return tuple(k.tobytes() for k in build())
+    except ParameterError as exc:
+        return str(exc)
+
+
+def _assert_the_two_walks(segments, speed):
+    want = _bend_outcome(lambda: two_walk_bend_knots(segments, speed))
+    got = _bend_outcome(lambda: BendProfile(segments=segments, cable_speed_mm_s=speed).knots)
+    assert got == want
+    if not isinstance(want, str):
+        total = BendProfile(segments=segments, cable_speed_mm_s=speed).total_duration_s
+        assert total.hex() == float(sum(d for _, d in segments)).hex()
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), speed=st.floats(1e-3, 1e3), n=st.integers(1, 6))
+def test_bend_knots_and_refusals_are_the_two_walks_bit_for_bit(data, speed, n):
+    # A release either takes a free duration or one that puts the running
+    # sum within a few ulps of -1e-12, where the refusal turns.
+    segments, disp = [], 0.0
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["hold", "pull", "release"]), label="kind")
+        duration = data.draw(st.floats(1e-3, 1e3), label="duration")
+        if kind == "release" and data.draw(st.booleans(), label="near the edge"):
+            edge = _ulps((disp + 1e-12) / speed, data.draw(st.integers(-3, 3), label="ulps"))
+            duration = edge if edge > 0 else duration
+        segments.append((kind, duration))
+        disp += {"hold": 0.0, "pull": 1.0, "release": -1.0}[kind] * speed * duration
+    _assert_the_two_walks(tuple(segments), speed)
+
+
+def test_a_release_to_just_below_zero_is_refused_as_the_two_walks_refuse():
+    # The running sum is 1 - d exactly here, so the durations step across
+    # -1e-12 one ulp at a time: both outcomes occur, each as the oracle's.
+    outcomes = [_assert_the_two_walks((("pull", 1.0), ("release", _ulps(1.0 + 1e-12, k))), 1.0)
+                for k in range(-3, 4)]
+    assert {isinstance(o, str) for o in outcomes} == {True, False}
+
+
+def test_bend_knots_are_derived_and_not_settable():
+    profile = BendProfile(segments=(("pull", 10.0), ("hold", 5.0), ("release", 4.0)))
+    times, disps = profile.knots
+    assert times.tolist() == [0.0, 10.0, 15.0, 19.0] and disps[-1] == pytest.approx(0.6)
+    with pytest.raises(TypeError):
+        BendProfile(knots=(times, disps))
+    moved = dataclasses.replace(profile, cable_speed_mm_s=0.2)
+    assert moved.knots[1][1] == 2.0 and moved != profile
+    assert profile == BendProfile(segments=profile.segments) and "knots" not in repr(profile)
+    assert hash(profile) == hash(BendProfile(segments=profile.segments))
 
 
 # --- scenarios and simulation ----------------------------------------------
