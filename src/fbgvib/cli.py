@@ -129,9 +129,9 @@ def _cmd_analyze(args):
 
 
 def _cmd_filter(args):
-    traces = dataio.parse_trace_csv(args.trace)
     if args.fundamental is None and args.tool_velocity_rpm is None:
         raise ParameterError("filter requires --fundamental or --rpm")
+    traces = dataio.parse_trace_csv(args.trace)
     fundamental = (args.tool_velocity_rpm / 60.0 if args.fundamental is None
                    else args.fundamental)
     filtered = []
@@ -256,12 +256,13 @@ def build_parser(config=None, command=None):
                        **kwargs)
 
     if p := add("simulate", "generate a synthetic trace CSV"):
+        scenario = fbgvib.vib_model.Scenario
         setting(p, "--seed", "seed", 0, type=int)
         setting(p, "--rpm", "tool_velocity_rpm")
         p.add_argument("--preset", choices=sorted(fbgvib.vib_model.SCENARIO_PRESETS))
-        setting(p, "--duration", "duration_s", 10.0, help="seconds")
-        setting(p, "--sample-rate", "sample_rate_hz", 1000.0, help="Hz")
-        setting(p, "--noise", "noise_sigma_nm", 0.002, help="sigma, nm")
+        setting(p, "--duration", "duration_s", scenario.duration_s, help="seconds")
+        setting(p, "--sample-rate", "sample_rate_hz", scenario.sample_rate_hz, help="Hz")
+        setting(p, "--noise", "noise_sigma_nm", scenario.noise_sigma_nm, help="sigma, nm")
         setting(p, "--base", "base_wavelength_nm", dataio.DEFAULT_BASE_NM,
                 help="base wavelength, nm")
         p.add_argument("--bend", help="e.g. pull=60,release=60,cable_speed=0.1")
@@ -313,15 +314,15 @@ def build_parser(config=None, command=None):
         p.set_defaults(func=_cmd_detect)
 
     if p := add("sweep", "amplitude vs rpm and resonances"):
-        paper = fbgvib.sweep.PAPER_POINTS
+        paper, scenario = fbgvib.sweep.PAPER_POINTS, fbgvib.vib_model.Scenario
         setting(p, "--seed", "seed", 0, type=int)
         p.add_argument("--preset", choices=("paper",), help=f"'paper' = {paper}-point log grid")
         p.add_argument("--rpm-min", type=_finite_float, default=None)
         p.add_argument("--rpm-max", type=_finite_float, default=None)
         p.add_argument("--points", type=int, default=paper)
-        setting(p, "--duration", "duration_s", 10.0)
-        setting(p, "--sample-rate", "sample_rate_hz", 1000.0)
-        setting(p, "--noise", "noise_sigma_nm", 0.0)
+        setting(p, "--duration", "duration_s", scenario.duration_s)
+        setting(p, "--sample-rate", "sample_rate_hz", scenario.sample_rate_hz)
+        setting(p, "--noise", "noise_sigma_nm", 0.0)  # noise-free, unlike simulate
         p.add_argument("--from-dir", default=None, help="ingest rpm_<value>.csv files")
         p.add_argument("--summary", default=None)
         p.add_argument("--out", required=True)

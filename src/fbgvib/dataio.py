@@ -224,16 +224,16 @@ def _fixed_rows(pieces, chunk):
 def csv_text(header, row_format, columns):
     """The header line, then ``row_format.format(*row)`` for each row.
 
-    ``columns`` are equal-length 1-D sequences of numbers (else DataError);
-    ``row_format`` ends each row with a newline. Rows are formatted a chunk
-    at a time. When every field is ``{:.Nf}`` or ``{:.Ng}``, a chunk is
+    ``columns`` are one or more equal-length 1-D sequences of numbers (else
+    DataError); ``row_format`` ends each row with a newline. Rows are formatted
+    a chunk at a time. When every field is ``{:.Nf}`` or ``{:.Ng}``, a chunk is
     formatted with array arithmetic to the same bytes; other templates, and
     chunks holding values it does not cover (see _fixed_bytes), go through
     ``str.format`` on the chunk's values as Python floats.
     """
     columns = [np.asarray(c, dtype=float) for c in columns]
-    if not all(c.ndim == 1 and c.shape == columns[0].shape for c in columns):
-        raise DataError("columns must be 1-D and of equal length")
+    if not (columns and all(c.ndim == 1 and c.shape == columns[0].shape for c in columns)):
+        raise DataError("at least one column; columns must be 1-D and of equal length")
     pieces = _fixed_template(row_format, len(columns))
     parts = [header + "\n"]
     for start in range(0, columns[0].shape[0], CHUNK_ROWS):

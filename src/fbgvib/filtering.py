@@ -83,14 +83,12 @@ class FilterSpec:
                     f"cascade response at {center} Hz is above {NOTCH_FLOOR_DB} dB")
 
     def response(self, frequency_hz):
-        """Complex single-pass response at one or more frequencies (Hz)."""
+        """Complex single-pass response at frequencies (Hz), shaped like them."""
         f = np.asarray(frequency_hz, dtype=float)
         z_inv = np.exp(-2j * np.pi * f / self.sample_rate_hz)
         h = np.ones_like(z_inv, dtype=complex)
         for b0, b1, b2, _, a1, a2 in self.sos.tolist():
             h *= (b0 + b1 * z_inv + b2 * z_inv * z_inv) / (1.0 + a1 * z_inv + a2 * z_inv * z_inv)
-        if np.isscalar(frequency_hz):
-            return complex(h)
         return h
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import BAND_NM, DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM, csv_text
+from .dataio import AREAS, BAND_NM, DEFAULT_BASE_NM, DEFAULT_SENSITIVITY_NM_PER_INVM, csv_text
 from .errors import DataError, ParameterError, ParseError
 
 POLYLINE_STEP_MM = 0.1  # longest step of a reconstructed centerline
@@ -31,8 +31,8 @@ class CalibrationModel:
     def __post_init__(self):
         bases = tuple(float(b) for b in self.base_wavelengths_nm)
         sens = tuple(float(s) for s in self.sensitivities_nm_per_invm)
-        if len(bases) != len(sens) or not bases:
-            raise ParameterError("one (base, sensitivity) pair per active area")
+        if not len(bases) == len(sens) == len(AREAS):
+            raise ParameterError(f"{len(AREAS)} (base, sensitivity) pairs, one per active area")
         if not all(math.isfinite(s) and s != 0.0 for s in sens):
             raise ParameterError("sensitivity must be finite and nonzero for every active area")
         if any(not (BAND_NM[0] <= b <= BAND_NM[1]) for b in bases):
@@ -40,13 +40,10 @@ class CalibrationModel:
         object.__setattr__(self, "base_wavelengths_nm", bases)
         object.__setattr__(self, "sensitivities_nm_per_invm", sens)
 
-    @property
-    def n_areas(self):
-        return len(self.base_wavelengths_nm)
-
 
 def default_calibration():
-    return CalibrationModel((DEFAULT_BASE_NM,) * 3, (DEFAULT_SENSITIVITY_NM_PER_INVM,) * 3)
+    n = len(AREAS)
+    return CalibrationModel((DEFAULT_BASE_NM,) * n, (DEFAULT_SENSITIVITY_NM_PER_INVM,) * n)
 
 
 def wavelength_to_curvature(wavelengths_nm, calibration):
@@ -56,8 +53,8 @@ def wavelength_to_curvature(wavelengths_nm, calibration):
     instant, ``(n_samples, areas)`` for a record.
     """
     wl = np.asarray(wavelengths_nm, dtype=float)
-    if wl.ndim == 0 or wl.shape[-1] != calibration.n_areas:
-        raise DataError(f"expected {calibration.n_areas} wavelengths, got {wl.shape}")
+    if wl.ndim == 0 or wl.shape[-1] != len(AREAS):
+        raise DataError(f"expected {len(AREAS)} wavelengths, got {wl.shape}")
     if np.any(wl < BAND_NM[0]) or np.any(wl > BAND_NM[1]):
         raise DataError(f"wavelength outside the interrogator band {BAND_NM} nm")
     base = np.array(calibration.base_wavelengths_nm)
@@ -155,7 +152,7 @@ def shape_csv_text(estimate):
 
 
 def load_calibration(path):
-    """Read a calibration CSV: each area once, with finite values."""
+    """Read a calibration CSV: areas 0, 1 and 2 once each, with finite values."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != "aa_index,base_wavelength_nm,sensitivity_nm_per_invm":
@@ -176,8 +173,6 @@ def load_calibration(path):
         if not (math.isfinite(base) and math.isfinite(gain)):
             raise ParseError("base and sensitivity must be finite", line=lineno)
         bases[idx], sens[idx] = base, gain
-    order = sorted(bases)
-    if order != list(range(len(bases))):
-        raise ParseError("active-area indices must be 0..n-1")
-    return CalibrationModel(tuple(bases[i] for i in order),
-                            tuple(sens[i] for i in order))
+    if sorted(bases) != list(AREAS):
+        raise ParseError(f"active-area indices must be 0..{len(AREAS) - 1}")
+    return CalibrationModel(tuple(bases[i] for i in AREAS), tuple(sens[i] for i in AREAS))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -149,11 +149,9 @@ class SpectralFeatures:
     """Shape-band line, tool-locked line, and its integer multiples."""
 
     base_frequency_hz: float | None = None
-    base_amplitude_nm: float | None = None
     fundamental_hz: float | None = None
     fundamental_amplitude_nm: float | None = None
-    harmonics_hz: tuple = field(default_factory=tuple)
-    harmonic_amplitudes_nm: tuple = field(default_factory=tuple)
+    harmonics_hz: tuple = ()
 
     def __post_init__(self):
         if (self.base_frequency_hz is not None and self.fundamental_hz is not None
@@ -170,10 +168,10 @@ def channel_spectrum(x, sample_rate_hz, window="hann"):
     return magnitude_spectrum(x - x.mean(), sample_rate_hz, window=window)
 
 
-def identify_features(x, sample_rate_hz, window="hann", **settings):
+def identify_features(x, sample_rate_hz, **settings):
     """Base frequency, fundamental, and harmonics of one channel: its channel_spectrum
     through features_from_spectrum, with ``settings`` as the latter's keywords."""
-    return features_from_spectrum(*channel_spectrum(x, sample_rate_hz, window), **settings)
+    return features_from_spectrum(*channel_spectrum(x, sample_rate_hz), **settings)
 
 
 def features_from_spectrum(freqs, mags, rpm_hint=None,
@@ -207,13 +205,12 @@ def features_from_spectrum(freqs, mags, rpm_hint=None,
     # A step's leakage near 0 Hz can outrank the tool line the hint names.
     near = [p for p in above if hinted and abs(p.frequency_hz - hinted) <= 2.0 * resolution]
     fund = next(iter(near or above), None)
+    base_hz = base.frequency_hz if base else None
     if fund is None:
-        return SpectralFeatures(
-            base_frequency_hz=base.frequency_hz if base else None,
-            base_amplitude_nm=base.amplitude if base else None)
+        return SpectralFeatures(base_frequency_hz=base_hz)
 
     f0 = hinted if near else fund.frequency_hz
-    harmonics, amplitudes = [], []
+    harmonics = []
     for m in range(2, MAX_HARMONIC + 1):
         target = m * f0
         # Within a bin and f0 / 2: a one-bin f0 must not take (m - 1) * f0.
@@ -222,14 +219,9 @@ def features_from_spectrum(freqs, mags, rpm_hint=None,
                     key=lambda p: abs(p.frequency_hz - target), default=None)
         if match is not None:
             harmonics.append(match.frequency_hz)
-            amplitudes.append(match.amplitude)
-    return SpectralFeatures(
-        base_frequency_hz=base.frequency_hz if base else None,
-        base_amplitude_nm=base.amplitude if base else None,
-        fundamental_hz=f0,
-        fundamental_amplitude_nm=fund.amplitude,
-        harmonics_hz=tuple(harmonics),
-        harmonic_amplitudes_nm=tuple(amplitudes))
+    return SpectralFeatures(base_frequency_hz=base_hz, fundamental_hz=f0,
+                            fundamental_amplitude_nm=fund.amplitude,
+                            harmonics_hz=tuple(harmonics))
 
 
 def spectrum_rows(freqs, mags):

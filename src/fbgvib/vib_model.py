@@ -207,7 +207,7 @@ class BendProfile:
 
 
 def bend_curvature(profile, t):
-    """Curvature (1/m) and cable displacement (mm) at time(s) t.
+    """Curvature (1/m) and cable displacement (mm) at times t, each shaped like t.
 
     Displacement is piecewise linear in time; curvature is proportional to
     it. Raises DataError for t outside the profile duration.
@@ -217,10 +217,7 @@ def bend_curvature(profile, t):
     if np.any(t_arr < 0) or np.any(t_arr > total + 1e-12):
         raise DataError(f"t outside the profile duration [0, {total}] s")
     displacement = np.interp(t_arr, *profile.knots)
-    curvature = profile.curvature_gain * displacement
-    if np.isscalar(t) or t_arr.ndim == 0:
-        return float(curvature), float(displacement)
-    return curvature, displacement
+    return profile.curvature_gain * displacement, displacement
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,7 @@ class Scenario:
     """One simulated experiment: tool rate, duration, bend, and noise."""
 
     rpm: float
-    duration_s: float
+    duration_s: float = 10.0
     sample_rate_hz: float = 1000.0
     bend: BendProfile | None = None
     noise_sigma_nm: float = 0.002
@@ -274,11 +271,11 @@ SCENARIO_PRESETS = {
 }
 
 
-def preset_scenario(name, duration_s=10.0, **overrides):
+def preset_scenario(name, **overrides):
     if name not in SCENARIO_PRESETS:
         raise ParameterError(
             f"unknown preset {name!r}; expected one of {sorted(SCENARIO_PRESETS)}")
-    return Scenario(duration_s=duration_s, **{**SCENARIO_PRESETS[name], **overrides})
+    return Scenario(**{**SCENARIO_PRESETS[name], **overrides})
 
 
 def simulate(scenario, params, seed=0):

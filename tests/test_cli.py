@@ -932,3 +932,86 @@ def test_a_path_of_the_wrong_kind_is_usage_error(tmp_path, capsys, argv):
     assert status == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert sorted(tmp_path.rglob("*")) == before  # no output, no temp file
+
+
+def test_filter_without_a_rate_is_refused_before_reading_the_trace(tmp_path, capsys):
+    # The missing flag is named, not the missing file.
+    target = tmp_path / "f.csv"
+    status, out, err = run(capsys, "filter", str(tmp_path / "missing.csv"), "--out", str(target))
+    assert status == 2 and out == "" and not target.exists()
+    assert err.splitlines() == ["error: filter requires --fundamental or --rpm"]
+
+
+CALIBRATION_HEADER = "aa_index,base_wavelength_nm,sensitivity_nm_per_invm\n"
+
+
+@pytest.mark.parametrize("text,line", [
+    ("aa,base,sensitivity\n0,1535.3,13\n1,1535.3,13\n2,1535.3,13\n",
+     "line 1: bad calibration header"),
+    (CALIBRATION_HEADER + "0,1535.3,13\n1,1535.3\n2,1535.3,13\n",
+     "line 3: expected aa_index,base,sensitivity"),
+    (CALIBRATION_HEADER + "0,1535.3,13\n1,1535.3,13\n2,abc,13\n",
+     "line 4: could not convert string to float: 'abc'"),
+    (CALIBRATION_HEADER + "0,1535.3,13\n", "active-area indices must be 0..2"),
+    (CALIBRATION_HEADER + "0,1535.3,13\n1,1535.3,13\n", "active-area indices must be 0..2"),
+    (CALIBRATION_HEADER + "0,1535.3,13\n1,1535.3,13\n3,1535.3,13\n",
+     "active-area indices must be 0..2"),
+], ids=["bad-header", "two-fields", "non-numeric-base", "one-area", "two-areas", "area-3"])
+def test_a_malformed_calibration_is_usage_error(tmp_path, capsys, text, line):
+    trace, cal, poly = tmp_path / "t.csv", tmp_path / "cal.csv", tmp_path / "poly.csv"
+    write_trace_csv(trace, WavelengthTrace(1000.0, np.full((10, 3), 1535.3)))
+    cal.write_text(text)
+    status, out, err = run(capsys, "shape", str(trace), "--calibration", str(cal),
+                           "--out", str(poly))
+    assert status == 2 and out == "" and not poly.exists()
+    assert err.splitlines() == [f"error: {line}"]
+
+
+SIMULATE_ONE_SECOND = ["simulate", "--rpm", "120", "--duration", "1", "--config", "{cfg}",
+                       "--out", "{out}"]
+
+
+@pytest.mark.parametrize("argv,config,line", [
+    (["simulate", "--rpm", "120", "--duration", "0.0004", "--out", "{out}"], "",
+     "duration_s too short for one sample"),
+    (SIMULATE_ONE_SECOND, "natural_f1_hz = 15.9\n",
+     "no positive-stiffness solution for these targets"),
+    (SIMULATE_ONE_SECOND, "damping_ratio = 1\n", "damping_ratio must lie in [0, 1)"),
+    (["detect", "{short}", "--out", "{out}"], "", "record shorter than two detector blocks"),
+    (["detect", "{repeats}", "--out", "{out}"], "", "fiber 0 repeats sample instants"),
+], ids=["one-sample", "stiffness", "damping", "short-detect", "repeated-instants"])
+def test_a_refused_input_exits_2_with_its_one_line(tmp_path, capsys, argv, config, line):
+    paths = {"out": tmp_path / "o.csv", "cfg": tmp_path / "c.cfg",
+             "short": tmp_path / "short.csv", "repeats": tmp_path / "repeats.csv"}
+    paths["cfg"].write_text(config)
+    write_trace_csv(paths["short"], WavelengthTrace(1000.0, np.full((100, 3), 1535.3)))
+    # The instant 0 three times, then 0.001.
+    paths["repeats"].write_text("time_s,fiber,aa,wavelength_nm\n"
+                                + "0.000000,0,0,1535.3\n" * 3 + "0.001000,0,0,1535.3\n")
+    status, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert status == 2 and out == "" and not paths["out"].exists()
+    assert err.splitlines() == [f"error: {line}"]
+
+
+@pytest.mark.parametrize("preset,rpm", [("soft-70rpm", "70"), ("hard-2250rpm", "2250")])
+def test_a_preset_simulates_what_its_rate_does(tmp_path, capsys, preset, rpm):
+    by_preset, by_rate = tmp_path / "preset.csv", tmp_path / "rate.csv"
+    status, out, err = run(capsys, "simulate", "--preset", preset, "--out", str(by_preset))
+    assert (status, err) == (0, "")
+    expected = run(capsys, "simulate", "--rpm", rpm, "--out", str(by_rate))
+    assert (status, out.replace(str(by_preset), str(by_rate)), err) == expected
+    assert by_preset.read_bytes() == by_rate.read_bytes()
+
+
+def test_shape_at_a_time_writes_the_polyline_of_that_sample(tmp_path, capsys):
+    trace_path, poly = tmp_path / "t.csv", tmp_path / "poly.csv"
+    run(capsys, "simulate", "--rpm", "120", "--duration", "3", "--bend",
+        "pull=1.5,release=1.5", "--out", str(trace_path))
+    status, out, err = run(capsys, "shape", str(trace_path), "--at-time", "1.234",
+                           "--out", str(poly))
+    trace, = parse_trace_csv(trace_path)
+    estimate, last = (shape.reconstruct(shape.wavelength_to_curvature(
+        trace.channels[i], shape.default_calibration())) for i in (1234, -1))
+    assert (status, err) == (0, "") and estimate.tip_mm != last.tip_mm
+    assert poly.read_text() == shape.shape_csv_text(estimate)
+    assert out == f"tip_x_mm={estimate.tip_mm[0]:.6f} tip_z_mm={estimate.tip_mm[1]:.6f}\n"

@@ -246,6 +246,7 @@ def test_a_trace_needs_a_channel():
     lambda: tips_csv_text(np.arange(3.0), np.zeros((2, 2))),
     lambda: csv_text("h", "{:.3f},{:.3f}\n", (np.zeros(3), np.ones(5))),
     lambda: csv_text("h", "{:.3f},{:.3f}\n", (np.zeros(2), np.ones((2, 1)))),
+    lambda: csv_text("h", "{:.3f}\n", []),
 ])
 def test_csv_columns_of_other_shapes_are_refused(write):
     # Rows past the shortest column used to be dropped without a word.

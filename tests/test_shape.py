@@ -24,9 +24,9 @@ def test_unstrained_gives_zero_curvature():
 
 
 def test_linear_model_arithmetic():
-    calib = CalibrationModel((1535.3,), (13.0,))
-    kappa = wavelength_to_curvature([1536.6], calib)
-    assert kappa[0] == pytest.approx(0.1, rel=1e-12)
+    calib = CalibrationModel((1535.3, 1531.0, 1540.2), (13.0, -11.5, 9.25))
+    kappa = wavelength_to_curvature([1536.6, 1529.85, 1540.2], calib)
+    assert kappa == pytest.approx([0.1, 0.1, 0.0], rel=1e-12, abs=0.0)
 
 
 def test_out_of_band_wavelength_rejected():
@@ -54,13 +54,21 @@ def test_record_with_wrong_areas_or_band_rejected(wavelengths):
 
 def test_zero_sensitivity_rejected():
     with pytest.raises(ParameterError):
-        CalibrationModel((1535.3,), (0.0,))
+        CalibrationModel((1535.3,) * 3, (13.0, 0.0, 13.0))
 
 
 @pytest.mark.parametrize("sensitivity", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_sensitivity_rejected(sensitivity):
     with pytest.raises(ParameterError, match="finite"):
-        CalibrationModel((1535.3, 1535.3), (13.0, sensitivity))
+        CalibrationModel((1535.3,) * 3, (13.0, sensitivity, 13.0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_a_calibration_is_the_three_active_areas(n):
+    with pytest.raises(ParameterError, match="3 .base, sensitivity. pairs"):
+        CalibrationModel((1535.3,) * n, (13.0,) * n)
+    with pytest.raises(ParameterError, match="3 .base, sensitivity. pairs"):
+        CalibrationModel((1535.3,) * 3, (13.0,) * n)
 
 
 def test_round_trip_through_calibration():

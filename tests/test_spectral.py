@@ -233,7 +233,6 @@ def test_a_one_bin_fundamental_takes_no_neighbouring_harmonic():
     feats = features_from_spectrum(freqs, mags)
     assert feats.fundamental_hz == pytest.approx(0.1)
     assert feats.harmonics_hz == (0.3, 0.5)
-    assert feats.harmonic_amplitudes_nm == (0.5, 0.3)
 
 
 def test_features_from_spectrum_matches_identify_features():

@@ -274,6 +274,18 @@ def test_a_non_finite_amplitude_is_refused_with_its_rpm(params, bad):
         analyze_sweep_points(points, params)
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda points: points[::-1], "sweep points must be sorted by rpm"),
+    (lambda points: points[:20] + [points[21], points[20]] + points[22:],
+     "sweep points must be sorted by rpm"),
+    (lambda points: [(r, -a if i == 3 else a) for i, (r, a) in enumerate(points)],
+     "amplitudes must be non-negative"),
+], ids=["descending", "one-swap", "negative-amplitude"])
+def test_unsorted_rates_or_a_negative_amplitude_are_refused(params, edit, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        analyze_sweep_points(edit(exact_points(params, default_rpm_grid())), params)
+
+
 def test_a_third_resonance_is_refused(params):
     # A broad unbalance-driven mode at 300 rpm (damping 0.2) whose peak is
     # 5 % of the largest amplitude: the two-mode curve misses it.
